@@ -32,35 +32,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Geometry, Polarization, SpectralPoint
-from .mie import wkb_diffraction_s
-from .reflection import _rho_order1, abcd_arrays
+from .reflection import KernelKind, plane_reflection, sphere_element
 from .special import exp_integral_e1
 
 PI2 = math.pi**2
-
-
-@dataclass(frozen=True)
-class SaddleFrame:
-    """Saddle-point data for r round trips at frequency xi."""
-
-    r: int
-    kappa_sp: float
-    xi: float
-    L: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("round-trip count must be >= 1")
-        if self.kappa_sp < self.xi:
-            raise ValueError("saddle wavenumber must satisfy kappa_sp >= xi")
-
-    @property
-    def u(self) -> float:
-        return 2.0 * self.xi * self.L * self.r
-
-    @property
-    def k_sp(self) -> float:
-        return math.sqrt(self.kappa_sp**2 - self.xi**2)
 
 
 # ---------------------------------------------------------------------------
@@ -169,52 +144,35 @@ def f_function(points: Sequence[SpectralPoint]) -> float:
     return sum(eta(points[j], points[(j + 1) % r]) for j in range(r))
 
 
-def g_function(points: Sequence[SpectralPoint], geometry: Geometry, order: int = 0) -> float:
+def g_function(points: Sequence[SpectralPoint], geometry: Geometry) -> float:
     """Round-trip weight g with the exact sum over 2^r polarization chains.
 
     Each leg contributes (-1)^{p_j} e^{-2 kappa_j L} / kappa_j times the
-    rho_{p_{j+1}, p_j} factor of the asymptotic sphere element at the
-    requested order ((-1)^p is the plane's Fresnel coefficient, p=1 TE,
-    p=2 TM).  Intended for the derivative oracles; r is capped at 12.
+    rho_{p_{j+1}, p_j} factor of the leading (wkb0) sphere element
+    (pi R / kappa_out) e^{2 xi R sin(Theta/2)} rho_{p_out, p_in}
+    ((-1)^p is the plane's Fresnel coefficient, p=1 TE, p=2 TM).  Intended
+    for the derivative oracles; r is capped at 12.
     """
     r = len(points)
     if r > 12:
         raise ValueError("exact polarization sum supported only for r <= 12")
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    L, R = geometry.L, geometry.R
+    L = geometry.L
     # per-leg 2x2 rho matrices, indices [p_out][p_in] with 0=TM, 1=TE
     pols = (Polarization.TM, Polarization.TE)
     leg_rho = []
     for j in range(r):
         a_pt, b_pt = points[j], points[(j + 1) % r]
-        a, b, c, d = abcd_arrays(
-            a_pt.xi, a_pt.k, b_pt.k, a_pt.kappa, b_pt.kappa,
-            np.float64(b_pt.phi_az - a_pt.phi_az),
-        )
-        if order == 1:
-            dot = a_pt.k * b_pt.k * math.cos(b_pt.phi_az - a_pt.phi_az)
-            z = -(a_pt.kappa * b_pt.kappa + dot) / a_pt.xi**2
-            s_perp, s_par = wkb_diffraction_s(a_pt.xi, z)
-        else:
-            s_perp, s_par = 0.0, 0.0
-        leg_rho.append(
-            [
-                [
-                    float(_rho_order1(po, pi, a, b, c, d, s_perp, s_par, R, order))
-                    for pi in pols
-                ]
-                for po in pols
-            ]
-        )
+        el = sphere_element(a_pt.xi, a_pt.k, b_pt.k, b_pt.phi_az - a_pt.phi_az,
+                            1.0, KernelKind.WKB0)
+        leg_rho.append([[float(el.mm) / math.pi, float(el.me) / math.pi],
+                        [float(el.em) / math.pi, float(el.ee) / math.pi]])
     weight = [math.exp(-2.0 * pt.kappa * L) / pt.kappa for pt in points]
-    fresnel = {Polarization.TM: 1.0, Polarization.TE: -1.0}
     total = 0.0
     for assignment in range(2**r):
         p = [(assignment >> j) & 1 for j in range(r)]  # 0=TM, 1=TE
         term = 1.0
         for j in range(r):
-            term *= fresnel[pols[p[j]]] * weight[j] * leg_rho[j][p[(j + 1) % r]][p[j]]
+            term *= plane_reflection(pols[p[j]]) * weight[j] * leg_rho[j][p[(j + 1) % r]][p[j]]
         total += term
     return total
 
@@ -235,30 +193,14 @@ def a_function(s: float, r: int, kappa_sp: float) -> float:
     return kappa_sp / (6.0 * r) * (r * r - 6.0 * s * r + 6.0 * s * s - 1.0)
 
 
-def saddle_diffraction_s(xi: float, kappa_sp: float) -> tuple[float, float]:
-    """(s_TE, s_TM) at the saddle: ((xi^2/2 - kappa^2)/kappa^3, -xi^2/(2 kappa^3))."""
-    k3 = kappa_sp**3
-    return (0.5 * xi**2 - kappa_sp**2) / k3, -0.5 * xi**2 / k3
-
-
-def g_saddle(r: int, xi: float, kappa_sp: float, L: float = 1.0, order: int = 0,
+def g_saddle(r: int, xi: float, kappa_sp: float, L: float = 1.0,
              pol: Polarization | None = None) -> float:
-    """g on the saddle manifold: e^{-2 kappa L r}/kappa^r (1 + r s_p/R ...).
+    """g on the saddle manifold at leading order: e^{-2 kappa L r}/kappa^r.
 
-    order 0 drops the diffraction term; with pol=None the two polarizations
-    are summed (order 0 only, where they coincide up to the trivial factor 2).
+    With pol=None the two polarizations, which coincide here, are summed.
     """
     base = math.exp(-2.0 * kappa_sp * L * r) / kappa_sp**r
-    if order == 0:
-        return 2.0 * base if pol is None else base
-    raise ValueError("order-1 saddle g requires a polarization and R; use g_saddle_order1")
-
-
-def g_saddle_order1(r: int, xi: float, kappa_sp: float, R: float, L: float = 1.0,
-                    pol: Polarization = Polarization.TE) -> float:
-    s_te, s_tm = saddle_diffraction_s(xi, kappa_sp)
-    s_p = s_te if pol is Polarization.TE else s_tm
-    return math.exp(-2.0 * kappa_sp * L * r) / kappa_sp**r * (1.0 + r * s_p / R)
+    return 2.0 * base if pol is None else base
 
 
 @dataclass(frozen=True)

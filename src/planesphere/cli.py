@@ -25,7 +25,7 @@ from .asymptotics import (
     trace_Mr_leading,
     trace_Mr_ntlo,
 )
-from .core import Geometry, Polarization, UnitSystem
+from .core import Geometry, Polarization
 from .mie import TruncationError
 from .reflection import KernelKind
 from .solver import (
@@ -190,8 +190,7 @@ def _quadrature(args, geometry: Geometry) -> QuadratureConfig:
 
 
 def _common(report: dict, args, geometry: Geometry | None) -> dict:
-    units = UnitSystem()
-    header = {"command": args.command, "energy_unit": units.energy_unit}
+    header = {"command": args.command, "energy_unit": "hbar*c/L"}
     if geometry is not None:
         header["R"] = geometry.R
         header["L"] = geometry.L

@@ -105,18 +105,6 @@ class SpectralPoint:
         return kappa(self.xi, self.k)
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Marker for the internal convention hbar = c = 1, lengths in L.
-
-    Exists so that every report can state the unit of its energy field
-    explicitly instead of relying on documentation.
-    """
-
-    energy_unit: str = "hbar*c/L"
-    length_unit: str = "L"
-
-
 def kappa(xi: float, k: float) -> float:
     """Imaginary z-wavenumber kappa = sqrt(xi**2 + k**2) (positive root)."""
     return math.hypot(xi, k)

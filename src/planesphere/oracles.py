@@ -3,8 +3,9 @@
 Nothing in this module reuses the closed forms it checks.  The saddle-point
 quantities D1, D2, D3 and F1 are rebuilt from finite differences of the
 round-trip phase f and weight g; the r-round-trip traces are rebuilt by
-direct quadrature of the scattering formula without the Nystrom/FFT
-machinery of the solver.
+direct quadrature of the scattering formula.  They share the round-trip
+element (reflection.round_trip_element) with the solver, but none of its
+Nystrom/FFT machinery.
 
 Derivatives in the Fourier-transformed saddle variables v (defined by
 k_{j,alpha} = sum_l W_{jl} v_{l,alpha}, W_{jl} = r^{-1/2} e^{2 pi i j l / r})
@@ -23,9 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Geometry, Polarization, SpectralPoint
+from .core import Geometry, SpectralPoint
 from .mie import ExactAmplitudes
-from .reflection import abcd_arrays
+from .reflection import KernelKind, round_trip_element, sphere_amplitudes
 from .asymptotics import g_function, hessian_eigenvalues
 
 
@@ -302,7 +303,7 @@ def polarization_mixing_cancellation(r: int, xi: float, kappa_sp: float,
             )
             for j in range(r)
         ]
-        return g_function(points, geometry, order=0)
+        return g_function(points, geometry)
 
     def g_pair(config: np.ndarray) -> float:
         return 2.0 * g_scalar(xi, config.astype(complex)).real
@@ -415,31 +416,23 @@ def _radial_gl(n: int, xi: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_elements(xi, ka, kb, dphi, rho, amps):
-    """The four symmetrized elements (MM, EE, ME, EM) for in=a -> out=b.
+    """Plane-dressed channels (MM, EE, ME, EM) of both legs of a loop.
 
-    Plane Fresnel signs and translation damping included; quadrature
-    measure excluded.  Vectorized over broadcastable inputs.
+    Returns the leg in=a -> out=b at dphi and the leg in=b -> out=a at
+    -dphi, each with translation damping, quadrature measure excluded.
+    Both legs have the same cos(Theta), so one Mie evaluation serves both;
+    each gets its own polarization rotation.  Vectorized over broadcastable
+    inputs.
     """
-    kapa = np.hypot(xi, ka)
-    kapb = np.hypot(xi, kb)
-    a, b, c, d = abcd_arrays(xi, ka, kb, kapa, kapb, dphi)
-    xi2 = xi * xi
-    p_diff = xi2 * (ka - kb) ** 2 / (kapa * kapb + ka * kb + xi2) \
-        + 2.0 * ka * kb * np.cos(0.5 * dphi) ** 2
-    z = -1.0 - p_diff / xi2
-    mant_perp, mant_par, log_amp = amps(np.ravel(z))
-    shape = np.broadcast_shapes(np.shape(z))
-    s_perp = mant_perp.reshape(shape)
-    s_par = mant_par.reshape(shape)
-    factor = (2.0 * math.pi / (xi * np.sqrt(kapa * kapb))) * np.exp(
-        log_amp.reshape(shape) - (kapa + kapb) * (1.0 + rho)
-    )
-    r_tm, r_te = 1.0, -1.0
-    el_mm = r_tm * (a * s_par + b * s_perp) * factor
-    el_ee = r_te * (a * s_perp + b * s_par) * factor
-    el_me = r_te * (-(c * s_perp + d * s_par)) * factor  # TM out <- TE in
-    el_em = r_tm * (c * s_par + d * s_perp) * factor     # TE out <- TM in
-    return el_mm, el_ee, el_me, el_em
+    amplitudes = sphere_amplitudes(xi, ka, kb, dphi, rho, KernelKind.EXACT_MIE, amps)
+    legs = []
+    for k_in, k_out, angle in ((ka, kb, dphi), (kb, ka, -dphi)):
+        mm, ee, me, em, log_scale = round_trip_element(
+            xi, k_in, k_out, angle, rho, KernelKind.EXACT_MIE, amplitudes=amplitudes
+        )
+        scale = np.exp(log_scale)
+        legs.append((mm * scale, ee * scale, me * scale, em * scale))
+    return legs
 
 
 def brute_force_trace(r: int, xi: float, geometry: Geometry,
@@ -448,21 +441,17 @@ def brute_force_trace(r: int, xi: float, geometry: Geometry,
 
     Supports r = 1 (radial integral over the specular diagonal) and r = 2
     (two radial integrals and one relative azimuth, summing the four
-    polarization products).  Completely independent of the solver's
-    discretization: no symmetrized blocks, no FFT, no azimuthal series.
+    polarization products).  Shares only the round-trip element with the
+    solver: no symmetrized blocks, no FFT, no azimuthal series.
     """
     rho = geometry.aspect_ratio
     amps = ExactAmplitudes(xi, rho)
     k, wk = _radial_gl(n_k, xi, rho)
     if r == 1:
-        kap = np.hypot(xi, k)
-        z = -(kap * kap + k * k) / (xi * xi)
-        mant_perp, mant_par, log_amp = amps(z)
-        integrand = (
-            (2.0 * math.pi / (xi * kap))
-            * (mant_par - mant_perp)
-            * np.exp(log_amp - 2.0 * kap * (1.0 + rho))
+        mm, ee, _, _, log_scale = round_trip_element(
+            xi, k, k, 0.0, rho, KernelKind.EXACT_MIE, amps
         )
+        integrand = (mm + ee) * np.exp(log_scale)
         return float(np.sum(k * wk * integrand)) / (2.0 * math.pi)
     if r == 2:
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
@@ -470,8 +459,9 @@ def brute_force_trace(r: int, xi: float, geometry: Geometry,
         k1 = k[:, None, None]
         k2 = k[None, :, None]
         dphi = phi[None, None, :]
-        mm_f, ee_f, me_f, em_f = _pair_elements(xi, k1, k2, dphi, rho, amps)
-        mm_b, ee_b, me_b, em_b = _pair_elements(xi, k2, k1, -dphi, rho, amps)
+        (mm_f, ee_f, me_f, em_f), (mm_b, ee_b, me_b, em_b) = _pair_elements(
+            xi, k1, k2, dphi, rho, amps
+        )
         pol_sum = mm_f * mm_b + ee_f * ee_b + me_f * em_b + em_f * me_b
         meas = (k * wk)[:, None, None] * (k * wk)[None, :, None] * w_phi
         return float(np.sum(meas * pol_sum)) / (2.0 * math.pi) ** 3

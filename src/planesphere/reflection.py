@@ -1,4 +1,4 @@
-"""Sphere reflection matrix elements in the Fresnel (TE/TM) basis.
+"""Sphere reflection and the plane-sphere round-trip element (TE/TM basis).
 
 The sphere scatters an incoming upward channel into an outgoing downward
 channel.  The scattering amplitudes S_perp, S_par live in the basis tied to
@@ -29,17 +29,24 @@ at the specular point (k_in = k_out, Dphi = 0) the limit is A=1, B=C=D=0,
 and at exact backscattering with k > 0 (k_in = k_out, Dphi = pi) it is
 A=0, B=1, C=D=0.  The complex-vector reference construction lives in the
 test suite only and must agree with this fast path to 1e-12.
+
+`round_trip_element` is the one implementation of the symmetrized
+plane -> sphere -> plane element: the solver's kernel sampling
+(solver._fourier_kernels), the brute-force trace oracle
+(oracles._pair_elements) and the scalar API at the end of this module all
+call it.  Beneath it, `sphere_element` combines the sphere amplitudes of
+the three kernels with the chi rotation.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import Geometry, Polarization, SpectralPoint, cos_theta
-from .mie import amplitudes_exact, amplitudes_wkb, wkb_diffraction_s
+from .mie import ExactAmplitudes
 from .special import ScaledValue
 
 
@@ -49,32 +56,50 @@ class KernelKind(Enum):
     WKB1 = "wkb1"
 
 
-@dataclass(frozen=True)
-class RotationCoefficients:
-    A: float
-    B: float
-    C: float
-    D: float
-    chi_in: float
-    chi_out: float
+class Amplitudes(NamedTuple):
+    """(2 pi / xi) S_p = pref * p * exp(log_scale) for p = perp, par."""
+
+    perp: np.ndarray
+    par: np.ndarray
+    log_scale: np.ndarray
+    pref: float
 
 
-def chi_components(xi, k_in, k_out, kappa_in, kappa_out, dphi):
+class Channels(NamedTuple):
+    """The four polarization channels, each value = channel * exp(log_scale)."""
+
+    mm: np.ndarray  # TM out <- TM in
+    ee: np.ndarray  # TE out <- TE in
+    me: np.ndarray  # TM out <- TE in
+    em: np.ndarray  # TE out <- TM in
+    log_scale: np.ndarray
+
+
+def _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi):
+    """P - xi^2 without cancellation.
+
+    kappa_in kappa_out - k_in k_out - xi^2
+    = xi^2 (k_in - k_out)^2 / (kappa_in kappa_out + k_in k_out + xi^2),
+    and k_in k_out (1 + cos dphi) = 2 k_in k_out cos^2(dphi/2).
+    """
+    xi2 = xi * xi
+    return xi2 * (k_in - k_out) ** 2 / (
+        kap_in * kap_out + k_in * k_out + xi2
+    ) + 2.0 * k_in * k_out * np.cos(0.5 * dphi) ** 2
+
+
+def chi_components(xi, k_in, k_out, kappa_in, kappa_out, dphi, p_diff=None):
     """Vectorized (cos chi_in, cos chi_out, sin chi_in, sin chi_out).
 
-    Degenerate points (Q = 0, i.e. cos Theta = -1) resolve to the specular
-    limit chi = 0 for dphi = 0 and to the backscattering limit chi = pi/2
-    otherwise.
+    p_diff is P - xi^2 if the caller already has it.  Degenerate points
+    (Q = 0, i.e. cos Theta = -1) resolve to the specular limit chi = 0 for
+    dphi = 0 and to the backscattering limit chi = pi/2 otherwise.
     """
+    if p_diff is None:
+        p_diff = _p_diff(xi, k_in, k_out, kappa_in, kappa_out, dphi)
     cosd = np.cos(dphi)
     sind = np.sin(dphi)
     xi2 = xi * xi
-    # P - xi^2 without cancellation: kappa_in kappa_out - k_in k_out - xi^2
-    # = xi^2 (k_in - k_out)^2 / (kappa_in kappa_out + k_in k_out + xi^2),
-    # and k_in k_out (1 + cos dphi) = 2 k_in k_out cos^2(dphi/2)
-    p_diff = xi2 * (k_in - k_out) ** 2 / (
-        kappa_in * kappa_out + k_in * k_out + xi2
-    ) + 2.0 * k_in * k_out * np.cos(0.5 * dphi) ** 2
     p_dot = xi2 + p_diff
     q2 = p_diff * (p_diff + 2.0 * xi2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -93,10 +118,10 @@ def chi_components(xi, k_in, k_out, kappa_in, kappa_out, dphi):
     return cos_in, cos_out, sin_in, sin_out
 
 
-def abcd_arrays(xi, k_in, k_out, kappa_in, kappa_out, dphi):
-    """Vectorized A, B, C, D over numpy-broadcastable inputs."""
+def abcd_arrays(xi, k_in, k_out, kappa_in, kappa_out, dphi, p_diff=None):
+    """Vectorized A, B, C, D over numpy-broadcastable inputs (p_diff as above)."""
     cos_in, cos_out, sin_in, sin_out = chi_components(
-        xi, k_in, k_out, kappa_in, kappa_out, dphi
+        xi, k_in, k_out, kappa_in, kappa_out, dphi, p_diff
     )
     a = cos_out * cos_in
     b = sin_out * sin_in
@@ -105,36 +130,115 @@ def abcd_arrays(xi, k_in, k_out, kappa_in, kappa_out, dphi):
     return a, b, c, d
 
 
-def rotation_coefficients(pt_in: SpectralPoint, pt_out: SpectralPoint) -> RotationCoefficients:
-    """Fresnel-to-scattering-plane rotation coefficients (fast closed form)."""
-    if pt_in.xi != pt_out.xi:
-        raise ValueError("rotation coefficients require equal xi")
-    dphi = pt_out.phi_az - pt_in.phi_az
-    ci, co, si, so = chi_components(
-        pt_in.xi, pt_in.k, pt_out.k, pt_in.kappa, pt_out.kappa, np.float64(dphi)
-    )
-    ci, co, si, so = float(ci), float(co), float(si), float(so)
-    return RotationCoefficients(
-        co * ci, so * si, so * ci, -co * si, math.atan2(si, ci), math.atan2(so, co)
-    )
-
-
 def plane_reflection(pol: Polarization) -> float:
     """Fresnel coefficient of the perfectly reflecting plane: TM +1, TE -1."""
     return 1.0 if pol is Polarization.TM else -1.0
 
 
-def _rho_order1(pol_out, pol_in, a, b, c, d, s_perp, s_par, R, order):
-    """rho_{p_out, p_in} of the asymptotic matrix element, order 0 or 1."""
-    inv_r = (1.0 / R) if order == 1 else 0.0
-    if pol_out is Polarization.TM and pol_in is Polarization.TM:
-        return (a - b) + (a * s_par - b * s_perp) * inv_r
-    if pol_out is Polarization.TE and pol_in is Polarization.TE:
-        return -(a - b) - (a * s_perp - b * s_par) * inv_r
-    if pol_out is Polarization.TM:  # TM <- TE
-        # the -(C S_perp + D S_par) element with S_perp = -|S_perp|: net +
-        return (c - d) + (c * s_perp - d * s_par) * inv_r
-    return (c - d) + (c * s_par - d * s_perp) * inv_r  # TE <- TM
+def _amplitudes(xi, p_diff, rho, kind, amps) -> Amplitudes:
+    """Sphere amplitudes of one kernel at cos(Theta) = -1 - p_diff / xi^2.
+
+    The WKB kinds use S_p = (-1)^p (xi R/2) e^{2 xi R sin(Theta/2)} f_p
+    (p=1 perp, p=2 par) with xi sin(Theta/2) = sqrt((2 xi^2 + p_diff)/2):
+    f_p = 1 for wkb0 and f_p = e^{s_p/R} for wkb1.
+    """
+    xi2 = xi * xi
+    if kind is KernelKind.EXACT_MIE:
+        if amps is None:
+            amps = ExactAmplitudes(xi, rho)
+        z = -1.0 - p_diff / xi2
+        perp, par, log_amp = amps(np.ravel(z))
+        shape = np.shape(z)
+        return Amplitudes(perp.reshape(shape), par.reshape(shape),
+                          log_amp.reshape(shape), 2.0 * math.pi / xi)
+    p_dot = xi2 + p_diff
+    h = np.sqrt(0.5 * (xi2 + p_dot))
+    if kind is KernelKind.WKB1:
+        # Resummed diffraction factor e^{s_p/R} instead of 1 + s_p/R:
+        # identical through order 1/R, but bounded in (0, 1] (both s_p are
+        # strictly negative).  The linear form diverges like -1/(2 xi R)
+        # near backscattering at small xi (the glory region), which destroys
+        # contraction of the discretized block even though that region's
+        # true contribution is negligible.
+        inv2h3 = 0.5 / h**3
+        par = np.exp(-(xi2 * inv2h3) / rho)     # e^{s_par / R}
+        perp = -np.exp(-(p_dot * inv2h3) / rho)  # -e^{s_perp / R}
+    else:
+        par = np.ones_like(h)
+        perp = np.full_like(h, -1.0)
+    return Amplitudes(perp, par, 2.0 * rho * h, math.pi * rho)
+
+
+def sphere_amplitudes(xi, k_in, k_out, dphi, rho, kind, amps=None) -> Amplitudes:
+    """The amplitudes `sphere_element` uses, for passing back in.
+
+    They depend on the channels only through cos(Theta), which is unchanged
+    by swapping in and out and negating dphi, so both legs of a loop can
+    share one evaluation.  amps is the ExactAmplitudes of this (xi, R) for
+    the exact kind (built here if None).
+    """
+    kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
+    return _amplitudes(xi, _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi), rho, kind, amps)
+
+
+def sphere_element(xi, k_in, k_out, dphi, rho, kind, amps=None, amplitudes=None,
+                   r_tm=1.0, r_te=1.0) -> Channels:
+    """kappa_out <out|R_S|in> of a sphere of radius rho, four channels at once.
+
+    Vectorized over broadcastable (xi, k_in, k_out, dphi), dphi = phi_out -
+    phi_in.  The amplitudes are those of `kind` unless precomputed ones are
+    passed.  Each channel is multiplied by r_tm or r_te according to its
+    incoming polarization (the plane's reflection for a round trip).
+    """
+    kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
+    p_diff = _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi)
+    if amplitudes is None:
+        amplitudes = _amplitudes(xi, p_diff, rho, kind, amps)
+    perp, par, log_scale, pref = amplitudes
+    a, b, c, d = abcd_arrays(xi, k_in, k_out, kap_in, kap_out, dphi, p_diff)
+    tm, te = r_tm * pref, r_te * pref
+    return Channels(
+        (a * par + b * perp) * tm,
+        (a * perp + b * par) * te,
+        (c * perp + d * par) * -te,
+        (c * par + d * perp) * tm,
+        log_scale,
+    )
+
+
+def round_trip_element(xi, k_in, k_out, dphi, rho, kind, amps=None,
+                       amplitudes=None) -> Channels:
+    """One symmetrized leg plane -> sphere -> plane, four channels at once.
+
+    The sphere element times the plane's Fresnel coefficient of the
+    incoming channel, the translations e^{-kappa (L + R)} of both channels
+    and 1/sqrt(kappa_in kappa_out): the similarity sqrt(kappa_out/kappa_in)
+    of the sphere's 1/kappa_out that makes the discretized operator
+    symmetric.  The sphere's e^{+2 xi R sin(Theta/2)} growth cancels
+    against the translations inside log_scale (the total exponent is always
+    <= 0 for the WKB kinds).  Arguments as for `sphere_element`; quadrature
+    weights are the caller's.
+    """
+    el = sphere_element(xi, k_in, k_out, dphi, rho, kind, amps, amplitudes,
+                        plane_reflection(Polarization.TM), plane_reflection(Polarization.TE))
+    kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
+    log_scale = (el.log_scale - (kap_in + kap_out) * (1.0 + rho)
+                 - 0.5 * (np.log(kap_in) + np.log(kap_out)))
+    return el._replace(log_scale=log_scale)
+
+
+# channel of (pol_out, pol_in)
+_CHANNEL = {
+    (Polarization.TM, Polarization.TM): "mm",
+    (Polarization.TE, Polarization.TE): "ee",
+    (Polarization.TM, Polarization.TE): "me",
+    (Polarization.TE, Polarization.TM): "em",
+}
+
+
+def _dphi(pt_in: SpectralPoint, pt_out: SpectralPoint) -> float:
+    cos_theta(pt_in, pt_out)  # rejects unequal or zero xi
+    return pt_out.phi_az - pt_in.phi_az
 
 
 def sphere_matrix_element(
@@ -147,35 +251,12 @@ def sphere_matrix_element(
 ) -> ScaledValue:
     """Matrix element <out, pol_out | R_S | in, pol_in>, log-scaled.
 
-    The exact kind sums partial waves; the wkb kinds use the asymptotic
-    form (pi R / kappa_out) e^{(2 xi R) sin(Theta/2)} rho_{p_out, p_in}
-    truncated at the requested order in 1/R.
+    For the WKB kinds the log scale is the physical exponent
+    2 xi R sin(Theta/2).
     """
-    z = cos_theta(pt_in, pt_out)
-    rc = rotation_coefficients(pt_in, pt_out)
-    xi = pt_in.xi
-    if kind is KernelKind.EXACT_MIE:
-        amps = amplitudes_exact(xi, R, z)
-        pref = 2.0 * math.pi / (xi * pt_out.kappa)
-        if pol_out is Polarization.TM and pol_in is Polarization.TM:
-            combo = (rc.A, amps.s_par, rc.B, amps.s_perp, +1.0)
-        elif pol_out is Polarization.TE and pol_in is Polarization.TE:
-            combo = (rc.A, amps.s_perp, rc.B, amps.s_par, +1.0)
-        elif pol_out is Polarization.TM:
-            combo = (rc.C, amps.s_perp, rc.D, amps.s_par, -1.0)
-        else:
-            combo = (rc.C, amps.s_par, rc.D, amps.s_perp, +1.0)
-        w1, s1, w2, s2, sign = combo
-        lead = max(s1.log_scale, s2.log_scale)
-        mant = w1 * s1.mantissa * math.exp(s1.log_scale - lead) + w2 * s2.mantissa * math.exp(
-            s2.log_scale - lead
-        )
-        return ScaledValue(sign * pref * mant, lead).normalized()
-    order = 0 if kind is KernelKind.WKB0 else 1
-    sh = math.sqrt(0.5 * (1.0 - z))
-    s_perp, s_par = wkb_diffraction_s(xi, z) if order == 1 else (0.0, 0.0)
-    rho = _rho_order1(pol_out, pol_in, rc.A, rc.B, rc.C, rc.D, s_perp, s_par, R, order)
-    return ScaledValue(math.pi * R / pt_out.kappa * rho, 2.0 * xi * R * sh)
+    el = sphere_element(pt_in.xi, pt_in.k, pt_out.k, _dphi(pt_in, pt_out), R, kind)
+    mant = getattr(el, _CHANNEL[pol_out, pol_in])
+    return ScaledValue(float(mant) / pt_out.kappa, float(el.log_scale))
 
 
 def symmetrized_round_trip_element(
@@ -186,23 +267,7 @@ def symmetrized_round_trip_element(
     geometry: Geometry,
     kind: KernelKind,
 ) -> float:
-    """One similarity-transformed round-trip leg, collapsed to a plain float.
-
-    Combines the plane reflection of the incoming channel, the two
-    translation factors e^{-kappa (L+R)} split symmetrically, and the
-    sqrt(kappa_in/kappa_out) similarity that makes each azimuthal block of
-    the discretized operator symmetric.  The huge e^{+2 xi R sin(Theta/2)}
-    growth of the sphere element cancels against the translations in log
-    space before exponentiation (the total exponent is always <= 0 for
-    the WKB kinds).  Quadrature weights are folded in by the solver.
-    """
-    rho = geometry.aspect_ratio
-    element = sphere_matrix_element(pt_in, pol_in, pt_out, pol_out, kind, rho)
-    kap_in = pt_in.kappa
-    kap_out = pt_out.kappa
-    log_total = (
-        element.log_scale
-        - (kap_in + kap_out) * (1.0 + rho)
-        + 0.5 * (math.log(kap_in) - math.log(kap_out))
-    )
-    return plane_reflection(pol_in) * element.mantissa * math.exp(log_total)
+    """One channel of `round_trip_element`, collapsed to a plain float."""
+    el = round_trip_element(pt_in.xi, pt_in.k, pt_out.k, _dphi(pt_in, pt_out),
+                            geometry.aspect_ratio, kind)
+    return float(getattr(el, _CHANNEL[pol_out, pol_in]) * np.exp(el.log_scale))

@@ -6,21 +6,22 @@ on the azimuths only through dphi, so a Fourier transform over dphi block-
 diagonalizes it into azimuthal blocks M_m; the energy is a xi-quadrature of
 sum_m (2 - delta_m0) ln det(1 - M_m).
 
-Symmetrization.  Each matrix element is dressed with the translation factors
-e^{-kappa (L+R)} on both legs, the symmetric square-root of the radial
-quadrature weights k_i w_i / 2pi, and the similarity sqrt(kappa_out/kappa_in)
-that turns the 1/kappa_out of the sphere element into 1/sqrt(kappa_in
-kappa_out).  In the Fourier domain the polarization-diagonal kernels are even
-in dphi (real cosine coefficients C_m) and the mixed kernels odd (imaginary
-coefficients -i S_m); a further similarity diag(1, -i) on the TE sector then
-yields the real symmetric block
+Symmetrization.  The matrix elements come from
+reflection.round_trip_element, which already carries the plane's Fresnel
+signs (+1 TM, -1 TE), the translation factors e^{-kappa (L+R)} on both legs
+and the similarity that turns the 1/kappa_out of the sphere element into
+1/sqrt(kappa_in kappa_out).  This module adds the symmetric square root of
+the radial quadrature weights k_i w_i / 2pi.  In the Fourier domain the
+polarization-diagonal kernels are even in dphi (real cosine coefficients
+C_m) and the mixed kernels odd (imaginary coefficients -i S_m); a further
+similarity diag(1, -i) on the TE sector then yields the real symmetric block
 
-    [[ C_m[MM],  X_m ], [ X_m^T, -C_m[EE] ]],
+    [[ C_m[MM],  X_m ], [ X_m^T, C_m[EE] ]],
 
-where X_m(a, b) is the sine transform of pref (C S_perp + D S_par) for the
-channel pair in=b -> out=a, with the plane's Fresnel signs (+1 TM, -1 TE)
-folded in.  Determinants and traces are invariant under these similarities,
-which the test suite checks against a direct complex construction.
+where X_m(a, b) is the sine transform of the TM <- TE channel for the pair
+in=b -> out=a, and equally of minus the TE <- TM channel for in=a -> out=b.
+Determinants and traces are invariant under these similarities, which the
+test suite checks against a direct complex construction.
 
 All exponentially large and small factors combine in log space before
 exponentiation: the WKB growth 2 xi R sin(Theta/2) never exceeds the
@@ -39,7 +40,8 @@ import numpy as np
 from .asymptotics import e_pfa
 from .core import Geometry
 from .mie import ExactAmplitudes
-from .reflection import KernelKind, chi_components
+from .reflection import KernelKind, round_trip_element
+from .reflection import chi_components  # noqa: F401  (kept importable here for profilers)
 
 
 class NonContractiveKernelError(RuntimeError):
@@ -73,8 +75,10 @@ class RationalStretch:
 class QuadratureConfig:
     """Discretization knobs for the radial, azimuthal and frequency grids.
 
-    m_max=None lets the solver truncate the azimuthal sum automatically once
-    the block Frobenius norm has decayed below 1e-10 of the m=0 block.
+    m_max=None truncates the azimuthal sum before the first m >= 1 whose
+    block Frobenius norm is below 1e-10 of the m=0 block's, or else runs it
+    to the Nyquist order n_azimuthal/2.  The norms of all blocks come from
+    the Fourier coefficients in one pass, before any block is assembled.
     """
 
     n_radial: int
@@ -142,9 +146,10 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
 
     Returns (ii, jj, cmm, cee, x_ij, x_ji) where ii <= jj index the kept
     radial node pairs and each coefficient array has shape
-    (n_pairs, n_azimuthal/2 + 1).  cee already carries the folded -1 of the
-    TE Fresnel sign; x_ij / x_ji are the sine coefficients of the mixed
-    kernel for (out=i, in=j) and (out=j, in=i).
+    (n_pairs, n_azimuthal/2 + 1).  cee already carries the -1 of the TE
+    Fresnel sign; x_ij / x_ji are the sine coefficients of the mixed
+    kernel for (out=i, in=j) and (out=j, in=i).  The tuple continues with
+    the radial nodes and weights.
     """
     rho = geometry.aspect_ratio
     n = config.n_radial
@@ -175,55 +180,18 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
         return ii, jj, empty, empty, empty, empty, k, wk
 
     ka, kb = k[ii][:, None], k[jj][:, None]
-    kapa, kapb = kap[ii][:, None], kap[jj][:, None]
     delta = (2.0 * math.pi / m_grid) * np.arange(mh + 1)[None, :]
-
-    # rotation coefficients for the orientation in=j -> out=i
-    ci, co, si, so = chi_components(xi, kb, ka, kapb, kapa, delta)
-    a = co * ci
-    b = so * si
-    c = so * ci
-    d = -co * si
-
-    # P - xi^2 via the cancellation-free split (see reflection.chi_components)
-    p_diff = (xi * xi) * (ka - kb) ** 2 / (
-        kapa * kapb + ka * kb + xi * xi
-    ) + 2.0 * ka * kb * np.cos(0.5 * delta) ** 2
-    p_dot = xi * xi + p_diff
-    log_static = (
-        -(kapa + kapb) * (1.0 + rho)
-        + log_w[ii][:, None]
-        + log_w[jj][:, None]
-        - 0.5 * (np.log(kapa) + np.log(kapb))
-    )
-    if kind is KernelKind.EXACT_MIE:
-        z = -1.0 - p_diff / (xi * xi)
-        amps = ExactAmplitudes(xi, rho)
-        mant_perp, mant_par, log_amp = amps(z.ravel())
-        s_perp = mant_perp.reshape(z.shape)
-        s_par = mant_par.reshape(z.shape)
-        factor = np.exp(log_amp.reshape(z.shape) + log_static) * (2.0 * math.pi / xi)
-    else:
-        h = np.sqrt(0.5 * (xi * xi + p_dot))
-        if kind is KernelKind.WKB1:
-            # Resummed diffraction factor e^{s_p/R} instead of 1 + s_p/R:
-            # identical through order 1/R, but bounded in (0, 1] (both s_p
-            # are strictly negative).  The linear form diverges like
-            # -1/(2 xi R) near backscattering at small xi (the glory
-            # region), which destroys contraction of the discretized block
-            # even though that region's true contribution is negligible.
-            inv2h3 = 0.5 / h**3
-            s_par = np.exp(-(xi * xi * inv2h3) / rho)    # e^{s_par_wkb / R}
-            s_perp = -np.exp(-(p_dot * inv2h3) / rho)    # -e^{s_perp_wkb / R}
-        else:
-            s_par = np.ones_like(h)
-            s_perp = np.full_like(h, -1.0)
-        factor = np.exp(2.0 * rho * h + log_static) * (math.pi * rho)
-
-    cmm = (a * s_par + b * s_perp) * factor
-    cee = (a * s_perp + b * s_par) * (-factor)
-    x_ij = (c * s_perp + d * s_par) * factor
-    x_ji = (c * s_par + d * s_perp) * (-factor)
+    amps = ExactAmplitudes(xi, rho) if kind is KernelKind.EXACT_MIE else None
+    # orientation in=j -> out=i
+    cmm, cee, x_ij, x_ji, log_scale = round_trip_element(xi, kb, ka, delta, rho, kind, amps)
+    scale = np.exp(log_scale + (log_w[ii] + log_w[jj])[:, None])
+    cmm *= scale
+    cee *= scale
+    x_ij *= scale
+    # the similarity diag(1, -i) on the TE sector flips the TE <- TM sign
+    np.negative(scale, out=scale)
+    x_ji *= scale
+    del scale
 
     def cos_coeff(half: np.ndarray) -> np.ndarray:
         full = np.empty((half.shape[0], m_grid))
@@ -237,7 +205,11 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
         full[:, mh + 1:] = -half[:, mh - 1:0:-1]
         return -np.fft.rfft(full, axis=1).imag / m_grid
 
-    return ii, jj, cos_coeff(cmm), cos_coeff(cee), sin_coeff(x_ij), sin_coeff(x_ji), k, wk
+    cmm = cos_coeff(cmm)
+    cee = cos_coeff(cee)
+    x_ij = sin_coeff(x_ij)
+    x_ji = sin_coeff(x_ji)
+    return ii, jj, cmm, cee, x_ij, x_ji, k, wk
 
 
 def _assemble_block(n, m, ii, jj, cmm, cee, x_ij, x_ji) -> np.ndarray:
@@ -256,23 +228,39 @@ def _assemble_block(n, m, ii, jj, cmm, cee, x_ij, x_ji) -> np.ndarray:
     return block
 
 
+def _block_norms(ii, jj, cmm, cee, x_ij, x_ji) -> np.ndarray:
+    """Frobenius norms of the blocks of every m, from the pair coefficients.
+
+    _assemble_block writes an off-diagonal pair twice in the MM and EE
+    sectors and a diagonal pair once; the mixed sector appears twice (X and
+    X^T), with x_ji overwriting x_ij on the diagonal.
+    """
+    off = (ii != jj).astype(float)
+    both = 1.0 + off
+    sq = (
+        np.einsum("p,pm,pm->m", both, cmm, cmm)
+        + np.einsum("p,pm,pm->m", both, cee, cee)
+        + 2.0 * np.einsum("p,pm,pm->m", off, x_ij, x_ij)
+        + 2.0 * np.einsum("pm,pm->m", x_ji, x_ji)
+    )
+    return np.sqrt(sq)
+
+
 def _iter_blocks(xi: float, geometry: Geometry, kind: KernelKind,
                  config: QuadratureConfig) -> Iterator[BlockMatrix]:
-    """Yield blocks for m = 0, 1, ... up to m_max or the auto-decay cutoff."""
+    """Yield blocks for m = 0, 1, ... up to m_max or the norm cutoff."""
     ii, jj, cmm, cee, x_ij, x_ji, _, _ = _fourier_kernels(xi, geometry, kind, config)
+    if ii.size == 0:
+        return
+    m_cap = config.m_max
+    if m_cap is None:
+        norms = _block_norms(ii, jj, cmm, cee, x_ij, x_ji)
+        norm0 = norms[0] if norms[0] > 0.0 else 1.0
+        small = np.flatnonzero(norms[1:] < 1e-10 * norm0)
+        m_cap = int(small[0]) if small.size else config.n_azimuthal // 2
     n = config.n_radial
-    mh = config.n_azimuthal // 2
-    m_cap = mh if config.m_max is None else config.m_max
-    norm0 = None
     for m in range(m_cap + 1):
-        if ii.size == 0:
-            return
         block = _assemble_block(n, m, ii, jj, cmm, cee, x_ij, x_ji)
-        norm = float(np.linalg.norm(block))
-        if norm0 is None:
-            norm0 = norm if norm > 0.0 else 1.0
-        elif config.m_max is None and norm < 1e-10 * norm0:
-            return
         yield BlockMatrix(m=m, xi=xi, entries=block)
 
 
@@ -306,20 +294,10 @@ def _xi_contribution(args) -> tuple[float, int]:
     mh = config.n_azimuthal // 2
     total = 0.0
     m_used = -1
-    calm = 0
     for block in _iter_blocks(xi, geometry, kind, config):
         weight = 1.0 if block.m in (0, mh) else 2.0
-        contrib = weight * log_det_contribution(block)
-        total += contrib
+        total += weight * log_det_contribution(block)
         m_used = block.m
-        # secondary truncation: the kink of the kernel at dphi = pi gives
-        # the block norms a power-law tail in m, so the norm rule of
-        # _iter_blocks rarely fires; the log-det contributions decay like
-        # the squared norm and can be cut much earlier
-        if config.m_max is None and block.m >= 8:
-            calm = calm + 1 if abs(contrib) < 1e-13 * abs(total) else 0
-            if calm >= 2:
-                break
     return total, m_used
 
 
@@ -345,11 +323,8 @@ def energy(geometry: Geometry, kind: KernelKind,
     m_used = max((res[1] for res in results), default=-1)
     total = float(np.dot(xi_weights, g_values)) / (2.0 * math.pi)
     pfa = e_pfa(geometry)
-    order = np.argsort(xi_nodes)
-    tail = float(abs(xi_weights[order][-1] * g_values[order][-1]))
     diagnostics = {
         "m_max_used": m_used,
-        "xi_tail_abs": tail / (2.0 * math.pi),
         "xi_max": float(np.max(xi_nodes)),
     }
     return EnergyReport(

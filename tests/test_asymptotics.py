@@ -130,8 +130,8 @@ def test_g_function_on_saddle_matches_closed_form():
     for r in (1, 2, 3):
         points = [SpectralPoint(xi=xi, k=k, phi_az=0.0)] * r
         want = 2.0 * (math.exp(-2.0 * kappa) / kappa) ** r
-        assert g_function(points, geometry, order=0) == pytest.approx(want, rel=1e-12)
-        assert g_saddle(r, xi, kappa, order=0) == pytest.approx(want, rel=1e-12)
+        assert g_function(points, geometry) == pytest.approx(want, rel=1e-12)
+        assert g_saddle(r, xi, kappa) == pytest.approx(want, rel=1e-12)
 
 
 def test_appendix_identity_f1():

@@ -6,6 +6,7 @@ import pytest
 
 from planesphere.asymptotics import appendix_D
 from planesphere.core import Geometry
+from planesphere.mie import ExactAmplitudes
 from planesphere.oracles import (
     DerivativeStencil,
     beta_fit,
@@ -122,6 +123,20 @@ def test_brute_force_trace_r1_frozen():
     assert brute_force_trace(1, 1.0, geometry, n_k=140) == pytest.approx(
         0.3141983752347467, rel=1e-12
     )
+
+
+def test_brute_force_trace_r2_makes_one_amplitude_call(monkeypatch):
+    # both legs of the two-round-trip loop share one Mie evaluation
+    calls = []
+    original = ExactAmplitudes.__call__
+
+    def counted(self, z):
+        calls.append(np.size(z))
+        return original(self, z)
+
+    monkeypatch.setattr(ExactAmplitudes, "__call__", counted)
+    brute_force_trace(2, 1.0, Geometry(R=5.0, L=1.0), n_k=8, n_phi=16)
+    assert calls == [8 * 8 * 16]
 
 
 def test_brute_force_trace_unsupported_r():

@@ -8,9 +8,9 @@ import pytest
 from planesphere.core import Geometry, Polarization, SpectralPoint
 from planesphere.reflection import (
     KernelKind,
+    abcd_arrays,
     chi_components,
     plane_reflection,
-    rotation_coefficients,
     sphere_matrix_element,
     symmetrized_round_trip_element,
 )
@@ -96,10 +96,10 @@ def test_coplanar_channels_do_not_mix():
     # dphi = 0 with k_in != k_out: rotation is trivial, C = D = 0
     a = SpectralPoint(xi=0.9, k=0.7)
     b = SpectralPoint(xi=0.9, k=2.1)
-    rc = rotation_coefficients(a, b)
-    assert rc.C == pytest.approx(0.0, abs=1e-14)
-    assert rc.D == pytest.approx(0.0, abs=1e-14)
-    assert rc.A == pytest.approx(1.0, rel=1e-12)
+    A, B, C, D = abcd_arrays(a.xi, a.k, b.k, a.kappa, b.kappa, 0.0)
+    assert C == pytest.approx(0.0, abs=1e-14)
+    assert D == pytest.approx(0.0, abs=1e-14)
+    assert A == pytest.approx(1.0, rel=1e-12)
     for kind in KernelKind:
         el = sphere_matrix_element(a, TE, b, TM, kind, 2.0)
         assert el.mantissa == pytest.approx(0.0, abs=1e-13)
@@ -112,7 +112,8 @@ def test_plane_reflection_signs():
 
 def test_rotation_requires_matching_xi():
     with pytest.raises(ValueError):
-        rotation_coefficients(SpectralPoint(xi=1.0, k=1.0), SpectralPoint(xi=2.0, k=1.0))
+        sphere_matrix_element(SpectralPoint(xi=1.0, k=1.0), TM,
+                              SpectralPoint(xi=2.0, k=1.0), TM, KernelKind.WKB0, 2.0)
 
 
 @pytest.mark.parametrize("kind", list(KernelKind))

@@ -1,15 +1,20 @@
 """Discretized round-trip operator: blocks, determinants, invariances."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from planesphere.core import Geometry, Polarization, SpectralPoint
-from planesphere.reflection import KernelKind, symmetrized_round_trip_element
+from planesphere.core import Geometry, Polarization, SpectralPoint, cos_theta
+from planesphere.mie import amplitudes_wkb
+from planesphere.reflection import KernelKind, abcd_arrays, symmetrized_round_trip_element
 from planesphere.solver import (
     NonContractiveKernelError,
     QuadratureConfig,
     RationalStretch,
+    _assemble_block,
+    _block_norms,
+    _fourier_kernels,
     build_blocks,
     energy,
     log_det_contribution,
@@ -63,10 +68,7 @@ def test_block_symmetry(kind):
 @pytest.mark.parametrize("kind,rel", [
     (KernelKind.EXACT_MIE, 1e-10),
     (KernelKind.WKB0, 1e-10),
-    # wkb1 is excluded here: the solver resums the order-1/R diffraction
-    # factor to e^{s/R} (the linear form breaks contraction near
-    # backscattering) while the scalar element path keeps (1 + s/R); their
-    # agreement to O((s/R)^2) is covered by the dedicated test below
+    (KernelKind.WKB1, 1e-10),
 ])
 def test_blocks_match_direct_complex_construction(kind, rel):
     """Assembled real blocks vs the straightforward complex construction.
@@ -74,8 +76,7 @@ def test_blocks_match_direct_complex_construction(kind, rel):
     The direct path builds the per-m complex operator by discrete Fourier
     transform of scalar symmetrized elements over the same azimuthal grid,
     with no symmetry folding; traces of powers and det(1 - M) are basis
-    independent, so they must agree to near machine precision (up to the
-    wkb1 resummation noted above).
+    independent, so they must agree to near machine precision.
     """
     geometry = Geometry(R=2.0, L=1.0)
     xi = 1.1
@@ -118,7 +119,8 @@ def test_blocks_match_direct_complex_construction(kind, rel):
 
 
 def test_wkb1_resummation_approaches_linear_form():
-    # e^{s/R} vs (1 + s/R): the trace gap must shrink ~(1/R)^2 as R grows
+    # the wkb1 kernel's e^{s/R} vs the linear (1 + s/R) of
+    # mie.amplitudes_wkb(order=1): the trace gap must shrink faster than 1/R
     xi = 1.1
     gaps = []
     for rho in (8.0, 16.0):
@@ -135,9 +137,16 @@ def test_wkb1_resummation_approaches_linear_form():
                 for j in range(n):
                     out_pt = SpectralPoint(xi=xi, k=float(k[i]), phi_az=float(d))
                     in_pt = SpectralPoint(xi=xi, k=float(k[j]), phi_az=0.0)
-                    kernel[jd, i, j] = lw[i] * lw[j] * symmetrized_round_trip_element(
-                        in_pt, TM, out_pt, TM, geometry, KernelKind.WKB1
-                    )
+                    pair = amplitudes_wkb(xi, rho, cos_theta(in_pt, out_pt), order=1)
+                    a, b, _, _ = abcd_arrays(xi, in_pt.k, out_pt.k,
+                                             in_pt.kappa, out_pt.kappa, float(d))
+                    # TM <- TM leg: plane coefficient +1, both translations
+                    # and the symmetrizing 1/sqrt(kappa_in kappa_out)
+                    damp = -(in_pt.kappa + out_pt.kappa) * (1.0 + rho)
+                    s_par = pair.s_par.mantissa * math.exp(pair.s_par.log_scale + damp)
+                    s_perp = pair.s_perp.mantissa * math.exp(pair.s_perp.log_scale + damp)
+                    pref = 2.0 * math.pi / (xi * math.sqrt(in_pt.kappa * out_pt.kappa))
+                    kernel[jd, i, j] = lw[i] * lw[j] * pref * (a * s_par + b * s_perp)
         t_linear = float(np.mean(kernel, axis=0).trace())
         block0 = build_blocks(xi, geometry, KernelKind.WKB1, cfg)[0]
         t_resummed = float(np.trace(block0.entries[:n, :n]))
@@ -147,6 +156,28 @@ def test_wkb1_resummation_approaches_linear_form():
     # only gradually with R
     assert gaps[0] < 5e-3
     assert gaps[1] < 0.6 * gaps[0]
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_block_norms_match_assembled_blocks(kind):
+    # the truncation rule reads block norms off the Fourier coefficients
+    geometry = Geometry(R=5.0, L=1.0)
+    cfg = small_config(n_radial=20)
+    ii, jj, cmm, cee, x_ij, x_ji, _, _ = _fourier_kernels(0.8, geometry, kind, cfg)
+    norms = _block_norms(ii, jj, cmm, cee, x_ij, x_ji)
+    assert norms.shape == (cfg.n_azimuthal // 2 + 1,)
+    for m, norm in enumerate(norms):
+        block = _assemble_block(cfg.n_radial, m, ii, jj, cmm, cee, x_ij, x_ji)
+        assert abs(norm - np.linalg.norm(block)) <= 1e-12 * norms[0]
+
+
+def test_norm_cutoff_matches_full_azimuthal_sum():
+    geometry = Geometry(R=50.0, L=1.0)
+    auto = QuadratureConfig.auto(geometry)
+    full = replace(auto, m_max=auto.n_azimuthal // 2)
+    e_auto = energy(geometry, KernelKind.WKB1, config=auto).energy
+    e_full = energy(geometry, KernelKind.WKB1, config=full).energy
+    assert e_auto == pytest.approx(e_full, rel=1e-10)
 
 
 def test_spectral_radius_below_one():
