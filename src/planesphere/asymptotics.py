@@ -145,36 +145,28 @@ def f_function(points: Sequence[SpectralPoint]) -> float:
 
 
 def g_function(points: Sequence[SpectralPoint], geometry: Geometry) -> float:
-    """Round-trip weight g with the exact sum over 2^r polarization chains.
+    """Round-trip weight g, summed over all polarization chains.
 
-    Each leg contributes (-1)^{p_j} e^{-2 kappa_j L} / kappa_j times the
-    rho_{p_{j+1}, p_j} factor of the leading (wkb0) sphere element
-    (pi R / kappa_out) e^{2 xi R sin(Theta/2)} rho_{p_out, p_in}
-    ((-1)^p is the plane's Fresnel coefficient, p=1 TE, p=2 TM).  Intended
-    for the derivative oracles; r is capped at 12.
+    Leg j carries the 2x2 transfer matrix
+        T_j[p_out][p_in] = rho_j[p_out][p_in] (-1)^{p_in} e^{-2 kappa_j L} / kappa_j,
+    with rho the polarization factor of the leading (wkb0) sphere element
+    (pi R / kappa_out) e^{2 xi R sin(Theta/2)} rho_{p_out, p_in} and (-1)^p
+    the plane's Fresnel coefficient (p=1 TE, p=2 TM); the sum over the 2^r
+    chains is tr(T_{r-1} ... T_0).  Intended for the derivative oracles.
     """
     r = len(points)
-    if r > 12:
-        raise ValueError("exact polarization sum supported only for r <= 12")
     L = geometry.L
-    # per-leg 2x2 rho matrices, indices [p_out][p_in] with 0=TM, 1=TE
-    pols = (Polarization.TM, Polarization.TE)
-    leg_rho = []
+    # indices [p_out][p_in] with 0=TM, 1=TE
+    fresnel = np.array([plane_reflection(Polarization.TM), plane_reflection(Polarization.TE)])
+    chain = np.eye(2)
     for j in range(r):
         a_pt, b_pt = points[j], points[(j + 1) % r]
         el = sphere_element(a_pt.xi, a_pt.k, b_pt.k, b_pt.phi_az - a_pt.phi_az,
                             1.0, KernelKind.WKB0)
-        leg_rho.append([[float(el.mm) / math.pi, float(el.me) / math.pi],
-                        [float(el.em) / math.pi, float(el.ee) / math.pi]])
-    weight = [math.exp(-2.0 * pt.kappa * L) / pt.kappa for pt in points]
-    total = 0.0
-    for assignment in range(2**r):
-        p = [(assignment >> j) & 1 for j in range(r)]  # 0=TM, 1=TE
-        term = 1.0
-        for j in range(r):
-            term *= plane_reflection(pols[p[j]]) * weight[j] * leg_rho[j][p[(j + 1) % r]][p[j]]
-        total += term
-    return total
+        rho = np.array([[el.mm, el.me], [el.em, el.ee]], dtype=float) / math.pi
+        weight = math.exp(-2.0 * a_pt.kappa * L) / a_pt.kappa
+        chain = (rho * fresnel * weight) @ chain
+    return float(np.trace(chain))
 
 
 def hessian_eigenvalues(r: int, kappa_sp: float) -> list[float]:

@@ -31,7 +31,6 @@ from .reflection import KernelKind
 from .solver import (
     NonContractiveKernelError,
     QuadratureConfig,
-    RationalStretch,
     default_threads,
     energy,
 )
@@ -367,65 +366,64 @@ def _cmd_verify(args) -> dict:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+# every flag is declared once; each command lists only the flags it reads
+_FLAGS = {
+    "--R": dict(type=float, help="sphere radius"),
+    "--L": dict(type=float, help="surface-to-surface gap (same unit as R)"),
+    "--kernel": dict(choices=[k.value for k in KernelKind], default="exact-mie"),
+    "--n-radial": dict(type=int, default=None),
+    "--n-azimuthal": dict(type=int, default=None),
+    "--n-xi": dict(type=int, default=None),
+    "--m-max": dict(type=int, default=None),
+    "--threads": dict(type=int, default=None,
+                      help="worker processes (default: PLANESPHERE_THREADS or 1)"),
+    "--length-unit-m": dict(type=float, default=None,
+                            help="meters per input length unit, adds energy_joule"),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--out": dict(type=str, default=None),
+    "--plot": dict(action="store_true",
+                   help="also render a figure next to --out (needs matplotlib)"),
+    "--ratios": dict(type=str, default=None, help="comma-separated R/L values"),
+    "--model": dict(choices=["linear", "quadratic"], default="quadratic"),
+    "--u": dict(type=str, default=None, help="comma-separated u = 2 xi L r values"),
+    "--r-max": dict(type=int, default=5),
+}
+_SOLVER = ("--kernel", "--n-radial", "--n-azimuthal", "--n-xi", "--m-max", "--threads")
+_OUTPUT = ("--format", "--out")
+
+# name -> (handler, help, flags)
+_COMMANDS = {
+    "energy": (_cmd_energy, "full scattering-formula energy with the chosen kernel",
+               ("--R", "--L", *_SOLVER, "--length-unit-m", *_OUTPUT, "--plot")),
+    "pfa": (_cmd_pfa, "proximity-force (and NTLO-corrected) asymptotic energy",
+            ("--R", "--L", "--length-unit-m", *_OUTPUT, "--plot")),
+    "beta": (_cmd_beta, "exact beta coefficients and the contribution table", _OUTPUT),
+    "beta-fit": (_cmd_beta_fit, "fit beta from energies at several aspect ratios",
+                 (*_SOLVER, *_OUTPUT, "--plot", "--ratios", "--model")),
+    "trace-terms": (_cmd_trace_terms, "leading/NTLO per-round-trip traces for given u values",
+                    (*_OUTPUT, "--plot", "--u", "--r-max")),
+    "verify": (_cmd_verify, "run the oracle suite and report pass/fail residuals", _OUTPUT),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planesphere",
         description="Casimir energy of a perfectly reflecting sphere facing a plane.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "energy": "full scattering-formula energy with the chosen kernel",
-        "pfa": "proximity-force (and NTLO-corrected) asymptotic energy",
-        "beta": "exact beta coefficients and the contribution table",
-        "beta-fit": "fit beta from energies at several aspect ratios",
-        "trace-terms": "leading/NTLO per-round-trip traces for given u values",
-        "verify": "run the oracle suite and report pass/fail residuals",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--R", type=float, help="sphere radius")
-        p.add_argument("--L", type=float, help="surface-to-surface gap (same unit as R)")
-        p.add_argument("--kernel", choices=[k.value for k in KernelKind],
-                       default="exact-mie")
-        p.add_argument("--n-radial", type=int, default=None)
-        p.add_argument("--n-azimuthal", type=int, default=None)
-        p.add_argument("--n-xi", type=int, default=None)
-        p.add_argument("--m-max", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: PLANESPHERE_THREADS or 1)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--length-unit-m", type=float, default=None,
-                       help="meters per input length unit, adds energy_joule")
-        p.add_argument("--plot", action="store_true",
-                       help="also render a figure next to --out (needs matplotlib)")
-        if name == "beta-fit":
-            p.add_argument("--ratios", type=str, default=None,
-                           help="comma-separated R/L values")
-            p.add_argument("--model", choices=["linear", "quadratic"],
-                           default="quadratic")
-        if name == "trace-terms":
-            p.add_argument("--u", type=str, default=None,
-                           help="comma-separated u = 2 xi L r values")
-            p.add_argument("--r-max", type=int, default=5)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-_DISPATCH = {
-    "energy": _cmd_energy,
-    "pfa": _cmd_pfa,
-    "beta": _cmd_beta,
-    "beta-fit": _cmd_beta_fit,
-    "trace-terms": _cmd_trace_terms,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = _DISPATCH[args.command](args)
+        report = _COMMANDS[args.command][0](args)
         _write_report(report, args)
     except UsageError as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -104,10 +104,18 @@ class ExactAmplitudes:
     frequency (the solver's hot loop).  Calls are vectorized over an array
     of cos(Theta) values.
 
+    Scale: each element is summed on one scale fixed before the ell loop,
+    the WKB exponent 2x sin(Theta/2), so the returned mantissas are the
+    WKB-normalised amplitudes S_p / e^{2x sin(Theta/2)}.  On z <= -1 every
+    term has the sign of its sum, so no term exceeds |S_p| on this scale
+    and nothing is rescaled during the sum; terms too small to register on
+    it underflow to 0.
+
     Convergence: summation continues until the current term is below
     `tol` times the running sum for three consecutive ell on every array
     element (past the coefficient peak the terms decay faster than
-    geometrically, so this certifies the tail at the same level).
+    geometrically, so this certifies the tail at the same level).  An
+    element whose sum is still 0 has not converged.
     """
 
     GROWTH = 2.0
@@ -148,7 +156,8 @@ class ExactAmplitudes:
         Returns
         -------
         (mant_perp, mant_par, log_scale) : arrays
-            S_perp = mant_perp * exp(log_scale), same log for S_par.
+            S_perp = mant_perp * exp(log_scale), same log for S_par;
+            log_scale = 2x sin(Theta/2) = 2x sqrt((1 - z)/2).
         """
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if np.any(z > -1.0 + 1e-9):
@@ -156,63 +165,45 @@ class ExactAmplitudes:
         z = np.minimum(z, -1.0)  # clip roundoff from the kinematic bound
         cap = self._cap_for(float(np.min(z)))
         rec = AngularRecurrence(z)
+        log_scale = 2.0 * self.x * np.sqrt(0.5 * (1.0 - z))
         acc_perp = np.zeros_like(z)
         acc_par = np.zeros_like(z)
-        # seed the scale with the ell=1 coefficient exponent
-        self._extend(8)
-        log_acc = np.full_like(z, self._log_a[0])
         calm = 0
         ell = 1
-        rel = math.inf
         while True:
             if ell > self._n_coeff:
                 self._extend(min(cap, max(int(self._n_coeff * self.GROWTH), ell + 64)))
+            # term = w (ka pi + kb tau) and w (ka tau + kb pi), with
+            # w = |a_ell| q^(ell-1) / e^(log_scale) and kb/ka = b_ell/a_ell
             c_ell = (2.0 * ell + 1.0) / (ell * (ell + 1.0))
-            ea = self._log_a[ell - 1] + rec.log_offset - log_acc
-            eb = self._log_b[ell - 1] + rec.log_offset - log_acc
-            # keep exponents representable: raise the accumulator scale
-            # wherever the bare term exponent runs ahead
-            lead = np.maximum(ea, eb)
-            hot = lead > 80.0
-            if np.any(hot):
-                shift = np.where(hot, lead - 80.0, 0.0)
-                damp = np.exp(-shift)
-                acc_perp *= damp
-                acc_par *= damp
-                log_acc += shift
-                ea -= shift
-                eb -= shift
-            wa = self._sign_a[ell - 1] * np.exp(ea)
-            wb = self._sign_b[ell - 1] * np.exp(eb)
-            t_perp = c_ell * (wa * rec.pi + wb * rec.tau)
-            t_par = c_ell * (wa * rec.tau + wb * rec.pi)
+            log_a = self._log_a[ell - 1]
+            ka = c_ell * self._sign_a[ell - 1]
+            kb = c_ell * self._sign_b[ell - 1] * math.exp(self._log_b[ell - 1] - log_a)
+            w = np.exp(rec.log_offset - log_scale + log_a)
+            t_perp = w * (ka * rec.pi + kb * rec.tau)
+            t_par = w * (ka * rec.tau + kb * rec.pi)
             acc_perp += t_perp
             acc_par += t_par
-            # renormalize the accumulator mantissas
-            mag = np.maximum(np.abs(acc_perp), np.abs(acc_par))
-            big = mag > 1e50
-            if np.any(big):
-                scale = np.where(big, mag, 1.0)
-                acc_perp /= scale
-                acc_par /= scale
-                log_acc += np.log(scale)
             if ell > self.x:
-                rel = np.max(
-                    (np.abs(t_perp) + np.abs(t_par))
-                    / np.maximum(np.abs(acc_perp) + np.abs(acc_par), 1e-280)
-                )
-                calm = calm + 1 if rel < self.tol else 0
+                term = np.abs(t_perp) + np.abs(t_par)
+                total = np.abs(acc_perp) + np.abs(acc_par)
+                # strict: a sum that is still 0 is never calm
+                calm = calm + 1 if np.all(term < self.tol * total) else 0
                 if calm >= 3:
                     break
             if ell >= cap:
+                worst = math.inf
+                if ell > self.x:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        worst = float(np.max(np.where(total > 0.0, term / total, math.inf)))
                 raise TruncationError(
                     f"partial-wave sum not converged by ell={ell} (x={self.x})",
                     ell,
-                    float(rel),
+                    worst,
                 )
             rec.advance()
             ell += 1
-        return acc_perp, acc_par, log_acc
+        return acc_perp, acc_par, log_scale
 
 
 def amplitudes_exact(xi: float, R: float, cos_theta: float, tol: float = 1e-13) -> AmplitudePair:

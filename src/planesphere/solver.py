@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -52,23 +52,17 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class RationalStretch:
-    """Map Gauss-Legendre nodes t in (0,1) to (0, inf) via x = scale*t/(1-t)."""
+# pair pruning: a radial pair is dropped when the bound on the log of its
+# kernel entries is below this (e^-46 ~ 1e-20)
+PRUNE_LOG_CUTOFF = -46.0
 
-    scale: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError("stretch scale must be positive and finite")
-
-    def nodes_weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        t, w = np.polynomial.legendre.leggauss(n)
-        t = 0.5 * (t + 1.0)
-        w = 0.5 * w
-        x = self.scale * t / (1.0 - t)
-        jac = self.scale / (1.0 - t) ** 2
-        return x, w * jac
+def half_line_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes t in (0,1) mapped to (0, inf) by x = t/(1-t)."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t = 0.5 * (t + 1.0)
+    jac = 1.0 / (1.0 - t) ** 2
+    return t / (1.0 - t), 0.5 * w * jac
 
 
 @dataclass(frozen=True)
@@ -85,9 +79,6 @@ class QuadratureConfig:
     n_azimuthal: int
     n_xi: int
     m_max: int | None = None
-    radial_transform: RationalStretch = field(default_factory=RationalStretch)
-    xi_transform: RationalStretch = field(default_factory=RationalStretch)
-    prune_log_cutoff: float = -46.0
 
     def __post_init__(self) -> None:
         for name in ("n_radial", "n_azimuthal", "n_xi"):
@@ -134,8 +125,6 @@ class EnergyReport:
             "n_azimuthal": self.config.n_azimuthal,
             "n_xi": self.config.n_xi,
             "m_max": self.config.m_max,
-            "radial_scale": self.config.radial_transform.scale,
-            "xi_scale": self.config.xi_transform.scale,
             "diagnostics": self.diagnostics,
         }
 
@@ -155,7 +144,7 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
     n = config.n_radial
     m_grid = config.n_azimuthal
     mh = m_grid // 2
-    k, wk = config.radial_transform.nodes_weights(n)
+    k, wk = half_line_nodes_weights(n)
     kap = np.hypot(xi, k)
     log_w = 0.5 * np.log(k * wk / (2.0 * math.pi))
 
@@ -173,7 +162,7 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
         + log_w[jj]
         + math.log(4.0 * math.pi * (rho + 1.0))
     )
-    keep = bound > config.prune_log_cutoff
+    keep = bound > PRUNE_LOG_CUTOFF
     ii, jj = ii[keep], jj[keep]
     if ii.size == 0:
         empty = np.zeros((0, mh + 1))
@@ -305,14 +294,14 @@ def energy(geometry: Geometry, kind: KernelKind,
            config: QuadratureConfig | None = None, threads: int = 1) -> EnergyReport:
     """Casimir energy in units hbar c / L, with the ratio to the PFA value.
 
-    The xi integral runs over Gauss-Legendre nodes mapped through the
-    rational stretch of config.xi_transform; each node is independent, so
+    The xi integral runs over the nodes of half_line_nodes_weights, like
+    the radial integral; each node is independent, so
     threads > 1 distributes nodes over a process pool (results are summed
     in fixed node order regardless of scheduling).
     """
     if config is None:
         config = QuadratureConfig.auto(geometry)
-    xi_nodes, xi_weights = config.xi_transform.nodes_weights(config.n_xi)
+    xi_nodes, xi_weights = half_line_nodes_weights(config.n_xi)
     jobs = [(float(xi), geometry, kind, config) for xi in xi_nodes]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -17,9 +17,11 @@ Implementation notes
   the (positive) values are stored.
 * E1 uses the alternating series for u <= 1 and a continued fraction for
   u > 1 (both standard; cross-checked against each other in the tests).
-* pi_ell/tau_ell use the Bohren-Huffman recurrences with per-step rescaling;
-  on the imaginary-frequency branch the argument satisfies z <= -1 and the
-  functions grow roughly like (|z| + sqrt(z^2-1))^ell.
+* pi_ell/tau_ell use the Bohren-Huffman recurrences on one fixed scale per
+  z: on the imaginary-frequency branch z <= -1 the functions grow like
+  q^ell with q = |z| + sqrt(z^2-1), so the recurrence carries them divided
+  by q^(ell-1), which stays within a low power of ell of 1 for every ell;
+  no value is ever rescaled at run time.
 """
 from __future__ import annotations
 
@@ -269,15 +271,18 @@ def exp_integral_e1(u: float) -> float:
 # ---------------------------------------------------------------------------
 
 class AngularRecurrence:
-    """Incremental, vectorized evaluation of pi_ell(z), tau_ell(z).
+    """Incremental, vectorized evaluation of pi_ell(z), tau_ell(z), z <= -1.
 
-    Maintains mantissas and a shared per-element log offset; `advance`
-    steps ell -> ell+1 and rescales elements whose mantissas have grown
-    past 1e200.  Used as the inner loop of the exact partial-wave sums,
-    where z is an array over quadrature nodes.
+    The scale is fixed before the first step: `pi` and `tau` hold
+    pi_ell / q^(ell-1) and tau_ell / q^(ell-1), with q = |z| + sqrt(z^2-1)
+    the growth factor of the recurrence, and `log_offset` = (ell-1) log q
+    restores them.  The held values neither overflow nor underflow at any
+    ell, so `advance` is the bare recurrence.  z itself enters unrounded and
+    1/q is applied as a factor of its own: folding z/q into one rounded
+    coefficient would perturb z, which pi_ell near z = -1 amplifies ~ell^2.
+    Used as the inner loop of the exact partial-wave sums, where z is an
+    array over quadrature nodes.
     """
-
-    RESCALE_AT = 1e200
 
     def __init__(self, z: np.ndarray):
         z = np.asarray(z, dtype=float)
@@ -285,25 +290,27 @@ class AngularRecurrence:
             raise ValueError("angular functions require z <= -1")
         self.z = z
         self.ell = 1
+        # log q is taken of the rounded 1/q that the steps apply, so the
+        # scale restores exactly what the recurrence divided out
+        self.inv_q = 1.0 / (-z + np.sqrt((-z - 1.0) * (1.0 - z)))
+        self.log_q = -np.log(self.inv_q)
         self.pi_prev = np.zeros_like(z)   # pi_0
         self.pi = np.ones_like(z)         # pi_1
         self.tau = z.copy()               # tau_1 = z
-        self.log_offset = np.zeros_like(z)
+
+    @property
+    def log_offset(self) -> np.ndarray:
+        """log of the factor q^(ell-1) divided out of pi, pi_prev and tau."""
+        return (self.ell - 1) * self.log_q
 
     def advance(self) -> None:
         ell = self.ell + 1
-        pi_new = ((2 * ell - 1) * self.z * self.pi - ell * self.pi_prev) / (ell - 1)
-        self.pi_prev = self.pi
-        self.pi = pi_new
-        self.tau = ell * self.z * self.pi - (ell + 1) * self.pi_prev
+        pi_cur = self.pi * self.inv_q
+        pi_prev = self.pi_prev * self.inv_q
+        self.pi = ((2 * ell - 1) * self.z * pi_cur - ell * pi_prev) / (ell - 1)
+        self.pi_prev = pi_cur
+        self.tau = ell * self.z * self.pi - (ell + 1) * pi_cur
         self.ell = ell
-        big = np.abs(self.pi) > self.RESCALE_AT
-        if np.any(big):
-            scale = np.where(big, np.abs(self.pi), 1.0)
-            self.pi = self.pi / scale
-            self.pi_prev = self.pi_prev / scale
-            self.tau = self.tau / scale
-            self.log_offset = self.log_offset + np.log(scale)
 
 
 def pi_tau(ell_max: int, z: float) -> tuple[ScaledArray, ScaledArray]:
@@ -312,7 +319,7 @@ def pi_tau(ell_max: int, z: float) -> tuple[ScaledArray, ScaledArray]:
     The recurrences are
         pi_ell = ((2 ell - 1) z pi_{ell-1} - ell pi_{ell-2}) / (ell - 1),
         tau_ell = ell z pi_ell - (ell + 1) pi_{ell-1},
-    with pi_0 = 0, pi_1 = 1; rescaling keeps all mantissas finite.
+    with pi_0 = 0, pi_1 = 1; see AngularRecurrence for the fixed scale.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")

@@ -127,7 +127,7 @@ def test_g_function_on_saddle_matches_closed_form():
     xi, k = 0.8, 1.5
     kappa = math.hypot(xi, k)
     geometry = Geometry(R=7.0, L=1.0)
-    for r in (1, 2, 3):
+    for r in (1, 2, 3, 13):
         points = [SpectralPoint(xi=xi, k=k, phi_az=0.0)] * r
         want = 2.0 * (math.exp(-2.0 * kappa) / kappa) ** r
         assert g_function(points, geometry) == pytest.approx(want, rel=1e-12)

@@ -151,7 +151,7 @@ def test_trace_terms_csv_shape(capsys):
 def test_beta_fit_synthetic(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "beta-fit", "--kernel", "wkb0", "--ratios", "30,60",
-        "--model", "linear", "--L", "1",
+        "--model", "linear",
     )
     assert code == 0
     report = json.loads(out)
@@ -190,6 +190,18 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--R", "5", "--L", "1", "--kernel", "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta", "--plot"],
+    ["verify", "--kernel", "wkb0"],
+    ["beta-fit", "--R", "5"],
+])
+def test_flags_a_command_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
 

@@ -27,7 +27,8 @@ def load_fixtures(function: str):
                     (
                         int(row["ell"]),
                         row["x_or_z"],
-                        float(row["mantissa"]) * math.exp(float(row["log_scale"])),
+                        float(row["mantissa"]),
+                        float(row["log_scale"]),
                     )
                 )
     assert rows
@@ -37,10 +38,10 @@ def load_fixtures(function: str):
 def test_mie_coefficients_against_fixtures():
     a_rows = load_fixtures("mie_a")
     b_rows = load_fixtures("mie_b")
-    for (ell, x_str, a_want), (_, _, b_want) in zip(a_rows, b_rows):
+    for (ell, x_str, a_mant, a_log), (_, _, b_mant, b_log) in zip(a_rows, b_rows):
         coeff = mie_ab(ell, float(x_str))
-        assert coeff.a.to_float() == pytest.approx(a_want, rel=1e-11)
-        assert coeff.b.to_float() == pytest.approx(b_want, rel=1e-11)
+        assert coeff.a.to_float() == pytest.approx(a_mant * math.exp(a_log), rel=1e-11)
+        assert coeff.b.to_float() == pytest.approx(b_mant * math.exp(b_log), rel=1e-11)
 
 
 def test_mie_signs():
@@ -61,12 +62,13 @@ def test_mie_input_validation():
 def test_amplitudes_against_fixtures():
     perp_rows = load_fixtures("s_perp")
     par_rows = load_fixtures("s_par")
-    for (_, xz, perp_want), (_, _, par_want) in zip(perp_rows, par_rows):
-        x_str, z_str = xz.split("|")
-        x, z = float(x_str), float(z_str)
-        pair = amplitudes_exact(xi=x, R=1.0, cos_theta=z)
-        assert pair.s_perp.to_float() == pytest.approx(perp_want, rel=1e-10)
-        assert pair.s_par.to_float() == pytest.approx(par_want, rel=1e-10)
+    # logs and signs: the largest reference, |S| ~ e^2752, overflows a float
+    for perp_row, par_row in zip(perp_rows, par_rows):
+        x_str, z_str = perp_row[1].split("|")
+        pair = amplitudes_exact(xi=float(x_str), R=1.0, cos_theta=float(z_str))
+        for got, (_, _, mant, log_scale) in ((pair.s_perp, perp_row), (pair.s_par, par_row)):
+            assert got.log_abs() == pytest.approx(math.log(abs(mant)) + log_scale, abs=1e-10)
+            assert got.sign == math.copysign(1.0, mant)
 
 
 def test_amplitudes_wkb_limit():
@@ -132,6 +134,18 @@ def test_exact_amplitudes_domain_and_clip():
     out = amps(np.array([-1.0 + 1e-12]))
     ref = amps(np.array([-1.0]))
     assert out[0][0] == pytest.approx(ref[0][0], rel=1e-12)
+
+
+def test_fixed_scale_is_the_wkb_exponent():
+    # the returned log scale is 2x sin(Theta/2) and the mantissas, the
+    # WKB-normalised amplitudes, neither vanish nor exceed max(1, x)
+    z = np.array([-1.0, -1.0 - 1e-14, -3.0, -1e4])
+    for x in (1e-3, 0.05, 1.0, 7.0, 60.0):
+        mant_perp, mant_par, log_scale = ExactAmplitudes(x, 1.0)(z)
+        np.testing.assert_allclose(log_scale, 2.0 * x * np.sqrt((1.0 - z) / 2.0), rtol=1e-15)
+        for mant in (mant_perp, mant_par):
+            assert np.all(np.abs(mant) > 0.0), x
+            assert np.all(np.abs(mant) <= max(1.0, x)), x
 
 
 def test_truncation_error_raised_on_tiny_cap():

@@ -8,15 +8,16 @@ import pytest
 from planesphere.core import Geometry, Polarization, SpectralPoint, cos_theta
 from planesphere.mie import amplitudes_wkb
 from planesphere.reflection import KernelKind, abcd_arrays, symmetrized_round_trip_element
+from planesphere import solver
 from planesphere.solver import (
     NonContractiveKernelError,
     QuadratureConfig,
-    RationalStretch,
     _assemble_block,
     _block_norms,
     _fourier_kernels,
     build_blocks,
     energy,
+    half_line_nodes_weights,
     log_det_contribution,
     trace_Mr_numeric,
 )
@@ -47,7 +48,7 @@ def test_quadrature_config_validation():
 
 def test_rational_stretch_integrates_exponential():
     # the stretch must integrate e^{-k} over (0, inf) accurately
-    k, w = RationalStretch(1.0).nodes_weights(60)
+    k, w = half_line_nodes_weights(60)
     assert float(np.sum(w * np.exp(-k))) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -70,7 +71,7 @@ def test_block_symmetry(kind):
     (KernelKind.WKB0, 1e-10),
     (KernelKind.WKB1, 1e-10),
 ])
-def test_blocks_match_direct_complex_construction(kind, rel):
+def test_blocks_match_direct_complex_construction(kind, rel, monkeypatch):
     """Assembled real blocks vs the straightforward complex construction.
 
     The direct path builds the per-m complex operator by discrete Fourier
@@ -81,9 +82,9 @@ def test_blocks_match_direct_complex_construction(kind, rel):
     geometry = Geometry(R=2.0, L=1.0)
     xi = 1.1
     n, m_grid = 6, 16
-    cfg = QuadratureConfig(n_radial=n, n_azimuthal=m_grid, n_xi=8,
-                           m_max=3, prune_log_cutoff=-1e9)
-    k, wk = cfg.radial_transform.nodes_weights(n)
+    monkeypatch.setattr(solver, "PRUNE_LOG_CUTOFF", -1e9)
+    cfg = QuadratureConfig(n_radial=n, n_azimuthal=m_grid, n_xi=8, m_max=3)
+    k, wk = half_line_nodes_weights(n)
     lw = np.sqrt(k * wk / (2.0 * math.pi))
     delta = 2.0 * math.pi * np.arange(m_grid) / m_grid
     pols = (TM, TE)
@@ -118,17 +119,17 @@ def test_blocks_match_direct_complex_construction(kind, rel):
         assert logdet_direct.real == pytest.approx(logdet_sym, rel=rel, abs=1e-13)
 
 
-def test_wkb1_resummation_approaches_linear_form():
+def test_wkb1_resummation_approaches_linear_form(monkeypatch):
     # the wkb1 kernel's e^{s/R} vs the linear (1 + s/R) of
     # mie.amplitudes_wkb(order=1): the trace gap must shrink faster than 1/R
+    monkeypatch.setattr(solver, "PRUNE_LOG_CUTOFF", -1e9)
     xi = 1.1
     gaps = []
     for rho in (8.0, 16.0):
         geometry = Geometry(R=rho, L=1.0)
         n, m_grid = 6, 16
-        cfg = QuadratureConfig(n_radial=n, n_azimuthal=m_grid, n_xi=8,
-                               m_max=0, prune_log_cutoff=-1e9)
-        k, wk = cfg.radial_transform.nodes_weights(n)
+        cfg = QuadratureConfig(n_radial=n, n_azimuthal=m_grid, n_xi=8, m_max=0)
+        k, wk = half_line_nodes_weights(n)
         lw = np.sqrt(k * wk / (2.0 * math.pi))
         delta = 2.0 * math.pi * np.arange(m_grid) / m_grid
         kernel = np.empty((m_grid, n, n))

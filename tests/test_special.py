@@ -184,15 +184,36 @@ def test_pi_tau_low_orders_closed_form():
 
 
 def test_angular_recurrence_matches_scalar_path():
-    z = np.array([-1.0, -2.0, -37.5])
+    # independent references, all on one array: the closed forms
+    # pi_ell(-1) = (-1)^(ell-1) ell(ell+1)/2, tau_ell(-1) = (-1)^ell ell(ell+1)/2
+    # at every ell up to 10^4, and the mpmath fixtures at z = -3 and -1e6
+    fixtures = {
+        (name, ell, float(z_str)): (mant, log_scale)
+        for name in ("pi_ell", "tau_ell")
+        for ell, z_str, mant, log_scale in load_fixtures(name)
+    }
+    z = np.array([-1.0, -3.0, -1e6])
     rec = AngularRecurrence(z)
-    for _ in range(49):
-        rec.advance()
-    for idx, zz in enumerate(z):
-        pi_arr, tau_arr = pi_tau(50, float(zz))
-        assert rec.log_offset[idx] + math.log(abs(rec.pi[idx])) == pytest.approx(
-            pi_arr[49].log_abs(), abs=1e-10
-        )
+    ell_top = 10_000
+    pi_edge = np.empty(ell_top)
+    tau_edge = np.empty(ell_top)
+    for ell in range(1, ell_top + 1):
+        if ell > 1:
+            rec.advance()
+        pi_edge[ell - 1] = rec.pi[0] * math.exp(rec.log_offset[0])
+        tau_edge[ell - 1] = rec.tau[0] * math.exp(rec.log_offset[0])
+        if ell == 400:
+            for idx in (1, 2):
+                for name, held in (("pi_ell", rec.pi), ("tau_ell", rec.tau)):
+                    mant, log_scale = fixtures[(name, ell, float(z[idx]))]
+                    got = rec.log_offset[idx] + math.log(abs(held[idx]))
+                    assert got == pytest.approx(math.log(abs(mant)) + log_scale, abs=1e-11)
+                    assert math.copysign(1.0, held[idx]) == math.copysign(1.0, mant)
+    ells = np.arange(1, ell_top + 1, dtype=float)
+    half = ells * (ells + 1.0) / 2.0
+    sign = np.where(ells % 2 == 1, 1.0, -1.0)   # (-1)^(ell-1)
+    np.testing.assert_allclose(pi_edge, sign * half, rtol=1e-13)
+    np.testing.assert_allclose(tau_edge, -sign * half, rtol=1e-13)
 
 
 def test_angular_recurrence_rejects_bad_branch():

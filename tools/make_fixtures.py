@@ -13,6 +13,7 @@ where the reference value is mantissa * exp(log_scale) with |mantissa| in
 from __future__ import annotations
 
 import csv
+import functools
 import pathlib
 
 import mpmath as mp
@@ -37,10 +38,12 @@ def scaled(value: mp.mpf) -> tuple[float, float]:
     return float(mant), float(log10 * mp.log(10))
 
 
+@functools.lru_cache(maxsize=None)
 def bessel_i(ell: int, x) -> mp.mpf:
     return mp.besseli(ell + mp.mpf(1) / 2, mp.mpf(x))
 
 
+@functools.lru_cache(maxsize=None)
 def bessel_k(ell: int, x) -> mp.mpf:
     return mp.besselk(ell + mp.mpf(1) / 2, mp.mpf(x))
 
@@ -74,18 +77,39 @@ def pi_tau_mp(ell_max: int, z):
     return out
 
 
-def amplitudes_mp(x, z, ell_max: int = 200):
-    """S_perp, S_par at size parameter x and cos(Theta) = z by direct summation."""
+def partial_sums_mp(x, z, ell_max: int):
+    """Partial sums (S_perp, S_par) through ell = 1..ell_max, by direct summation."""
     pt = pi_tau_mp(ell_max, z)
     s_perp = mp.mpf(0)
     s_par = mp.mpf(0)
+    sums = []
     for ell in range(1, ell_max + 1):
         c = mp.mpf(2 * ell + 1) / (ell * (ell + 1))
         a, b = mie_a(ell, x), mie_b(ell, x)
         p, t = pt[ell - 1]
         s_perp += c * (a * p + b * t)
         s_par += c * (a * t + b * p)
-    return s_perp, s_par
+        sums.append((s_perp, s_par))
+    return sums
+
+
+def amplitudes_mp(x, z, ell_max: int = 200):
+    """S_perp, S_par at size parameter x and cos(Theta) = z, summed to ell_max."""
+    return partial_sums_mp(x, z, ell_max)[-1]
+
+
+def amplitudes_converged_mp(x, z, ell_max: int = 200):
+    """S_perp, S_par summed to an ell_max whose doubling leaves both unchanged.
+
+    "Unchanged" means the same (mantissa, log_scale) pair after rounding to
+    doubles, which is what the fixture stores.
+    """
+    while True:
+        sums = partial_sums_mp(x, z, 2 * ell_max)
+        half, full = sums[ell_max - 1], sums[-1]
+        if all(scaled(h) == scaled(f) for h, f in zip(half, full)):
+            return full
+        ell_max *= 2
 
 
 def main() -> None:
@@ -109,6 +133,18 @@ def main() -> None:
 
     for x, z in ((5.0, -2.0), (5.0, -1.5), (2.0, -4.0)):
         sp, sq = amplitudes_mp(x, z)
+        rows.append(("s_perp", 0, f"{x}|{z}", *scaled(sp)))
+        rows.append(("s_par", 0, f"{x}|{z}", *scaled(sq)))
+
+    # orders and arguments where pi_ell, tau_ell and the amplitudes span
+    # hundreds to thousands of e-folds (|S| reaches e^2752 at x = 0.02)
+    for ell, z in ((400, -3.0), (400, -1e6), (3000, -1.0 - 1e-6)):
+        p, t = pi_tau_mp(ell, z)[-1]
+        rows.append(("pi_ell", ell, z, *scaled(p)))
+        rows.append(("tau_ell", ell, z, *scaled(t)))
+
+    for x, z in ((60.0, -3.0), (1.0, -2e5), (0.02, -9.5e9)):
+        sp, sq = amplitudes_converged_mp(x, z)
         rows.append(("s_perp", 0, f"{x}|{z}", *scaled(sp)))
         rows.append(("s_par", 0, f"{x}|{z}", *scaled(sq)))
 
