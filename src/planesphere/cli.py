@@ -112,7 +112,7 @@ def emit_json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _write_report(report, args) -> None:
+def _write_report(report, args, plt) -> None:
     if args.format == "json":
         payload = emit_json(report if isinstance(report, dict) else {"reports": report})
     else:
@@ -123,12 +123,12 @@ def _write_report(report, args) -> None:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-    if getattr(args, "plot", False):
-        _render_plot(report, args)
+    if plt is not None:
+        _render_plot(report, args, plt)
 
 
-def _render_plot(report, args) -> None:
-    """Optional figure next to the delimited output (needs the plots extra)."""
+def _plot_backend(args):
+    """matplotlib.pyplot for --plot, checked before the command does any work."""
     if not args.out:
         raise UsageError("--plot requires --out (the figure is written alongside it)")
     try:
@@ -139,6 +139,11 @@ def _render_plot(report, args) -> None:
         raise UsageError(
             "--plot requires matplotlib (install the 'plots' extra)"
         ) from exc
+    return plt
+
+
+def _render_plot(report, args, plt) -> None:
+    """Optional figure next to the delimited output (needs the plots extra)."""
     base, _ = os.path.splitext(args.out)
     fig, ax = plt.subplots(figsize=(5.0, 3.4))
     if isinstance(report, dict) and "samples" in report:
@@ -179,13 +184,20 @@ def _quadrature(args, geometry: Geometry) -> QuadratureConfig:
     base = QuadratureConfig.auto(geometry)
     try:
         return QuadratureConfig(
-            n_radial=args.n_radial if args.n_radial else base.n_radial,
-            n_azimuthal=args.n_azimuthal if args.n_azimuthal else base.n_azimuthal,
-            n_xi=args.n_xi if args.n_xi else base.n_xi,
+            n_radial=base.n_radial if args.n_radial is None else args.n_radial,
+            n_azimuthal=base.n_azimuthal if args.n_azimuthal is None else args.n_azimuthal,
+            n_xi=base.n_xi if args.n_xi is None else args.n_xi,
             m_max=args.m_max,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _threads(args) -> int:
+    threads = default_threads() if args.threads is None else args.threads
+    if threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {threads}")
+    return threads
 
 
 def _common(report: dict, args, geometry: Geometry | None) -> dict:
@@ -209,7 +221,7 @@ def _cmd_energy(args) -> dict:
     geometry = _geometry(args)
     config = _quadrature(args, geometry)
     kind = KernelKind(args.kernel)
-    threads = args.threads if args.threads else default_threads()
+    threads = _threads(args)
     report = energy(geometry, kind, config=config, threads=threads)
     out = report.to_dict()
     out["threads"] = threads
@@ -256,7 +268,7 @@ def _cmd_beta_fit(args) -> dict:
     if len(ratios) < (2 if args.model == "linear" else 3):
         raise UsageError("need at least 2 (linear) or 3 (quadratic) ratios")
     kind = KernelKind(args.kernel)
-    threads = args.threads if args.threads else default_threads()
+    threads = _threads(args)
     samples = []
     for rho in ratios:
         geometry = Geometry(R=rho, L=1.0)
@@ -423,8 +435,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        plt = _plot_backend(args) if getattr(args, "plot", False) else None
         report = _COMMANDS[args.command][0](args)
-        _write_report(report, args)
+        _write_report(report, args, plt)
     except UsageError as exc:
         parser.exit(2, f"error: {exc}\n")
     except (NonContractiveKernelError, TruncationError, ValueError,

@@ -9,19 +9,21 @@ in units of hbar*c/L.  Conversion to other units happens only at the CLI
 boundary.
 
 A plane-wave channel is labeled by its imaginary frequency xi, the magnitude
-and azimuth of its transverse wave vector, its polarization in the Fresnel
-(TE/TM) basis, and the sign of its z-propagation.  On the imaginary-frequency
-branch the z-component of the wave vector is i*kappa with
+and azimuth of its transverse wave vector and its polarization in the
+Fresnel (TE/TM) basis; `SpectralPoint` holds the first three.  On the
+imaginary-frequency branch the z-component of the wave vector is i*kappa with
 
     kappa = sqrt(xi**2 + k**2),
 
-and the cosine of the angle between an incoming (+) and an outgoing (-)
-channel analytically continues to
+and the cosine of the angle between an incoming (upward) and an outgoing
+(downward) channel analytically continues to
 
     cos(Theta) = -(kappa_in*kappa_out + k_in.k_out) / xi**2  <=  -1,
 
 so that sin(Theta/2) = sqrt((1 - cos(Theta))/2) >= 1.  At the specular point
-(k_in = k_out, same azimuth) sin(Theta/2) = kappa/xi exactly.
+(k_in = k_out, same azimuth) sin(Theta/2) = kappa/xi exactly.  The
+reflection module evaluates these angles vectorized, through the
+cancellation-free P - xi^2 of reflection._p_diff.
 """
 from __future__ import annotations
 
@@ -33,15 +35,6 @@ from enum import Enum
 class Polarization(Enum):
     TE = "TE"
     TM = "TM"
-
-
-class DegenerateFrequencyError(ValueError):
-    """Raised when a scattering angle is requested at xi = 0.
-
-    cos(Theta) divides by xi**2; the xi -> 0 limit must be taken by the
-    caller in terms of kappa directly (the quadrature never samples xi = 0,
-    so this is a guard against misuse rather than a numerical event).
-    """
 
 
 @dataclass(frozen=True)
@@ -80,25 +73,17 @@ class SpectralPoint:
         Transverse wavenumber magnitude, units 1/L, >= 0.
     phi_az : float
         Azimuth of the transverse wave vector, radians.
-    pol : Polarization
-        TE or TM with respect to the Fresnel plane (k, z-hat).
-    dir : int
-        +1 for upward (towards the sphere), -1 for downward propagation.
     """
 
     xi: float
     k: float
     phi_az: float = 0.0
-    pol: Polarization = Polarization.TE
-    dir: int = +1
 
     def __post_init__(self) -> None:
         if self.xi < 0:
             raise ValueError("imaginary frequency must be >= 0")
         if self.k < 0:
             raise ValueError("transverse wavenumber must be >= 0")
-        if self.dir not in (+1, -1):
-            raise ValueError("propagation direction must be +1 or -1")
 
     @property
     def kappa(self) -> float:
@@ -109,30 +94,3 @@ def kappa(xi: float, k: float) -> float:
     """Imaginary z-wavenumber kappa = sqrt(xi**2 + k**2) (positive root)."""
     return math.hypot(xi, k)
 
-
-def cos_theta(pt_in: SpectralPoint, pt_out: SpectralPoint) -> float:
-    """Cosine of the scattering angle between two channels at equal xi.
-
-    Returns -(kappa_in*kappa_out + k_in*k_out*cos(dphi))/xi**2, which is
-    <= -1 everywhere on the imaginary-frequency branch with equality only
-    for k_in = k_out = 0.
-    """
-    if pt_in.xi != pt_out.xi:
-        raise ValueError("cos_theta requires both channels at the same xi")
-    xi = pt_in.xi
-    if xi == 0.0:
-        raise DegenerateFrequencyError(
-            "cos_theta is undefined at xi = 0; use the kappa-space limit path"
-        )
-    dot = pt_in.k * pt_out.k * math.cos(pt_out.phi_az - pt_in.phi_az)
-    return -(pt_in.kappa * pt_out.kappa + dot) / xi**2
-
-
-def sin_half_theta(pt_in: SpectralPoint, pt_out: SpectralPoint) -> float:
-    """sin(Theta/2) = sqrt((1 - cos(Theta))/2) >= 1.
-
-    At the specular point (k_in = k_out, dphi = 0) this equals kappa/xi,
-    which is the identity that makes the WKB exponent cancel exactly
-    against the round-trip translation factors.
-    """
-    return math.sqrt(0.5 * (1.0 - cos_theta(pt_in, pt_out)))

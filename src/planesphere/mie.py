@@ -1,8 +1,12 @@
 """Sphere scattering amplitudes S_perp, S_par at imaginary frequency.
 
-Exact partial-wave sums and their WKB (geometric-optics) asymptotics for a
-perfectly reflecting sphere.  All exponentially large factors are tracked in
-log scale.
+Exact partial-wave sums for a perfectly reflecting sphere and the 1/R
+diffraction correction of their WKB (geometric-optics) limit.  Everything is
+vectorized: `_mie_ab_log_arrays` gives the Mie coefficients for all ell as
+signs and logs, `ExactAmplitudes` sums them over an array of cos(Theta)
+values and returns mantissas on one log scale, and `wkb_diffraction_s`
+gives the corrections s_p from which reflection._amplitudes builds the wkb1
+kernel.  All exponentially large factors are tracked in log scale.
 
 Adopted Mie coefficients
 ------------------------
@@ -21,21 +25,16 @@ limit: the partial-wave sums must approach
     S_par  = +(xi R/2) exp[2 xi R sin(Theta/2)],
     S_perp = -(xi R/2) exp[2 xi R sin(Theta/2)],
 
-which the tests check explicitly (including the 1/R diffraction correction).
+with the 1/R diffraction correction S_p -> S_p (1 + s_p/R) of
+`wkb_diffraction_s`; the tests check this limit against `ExactAmplitudes`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .special import (
-    AngularRecurrence,
-    ScaledValue,
-    log_bessel_i_half,
-    log_bessel_k_half,
-)
+from .special import AngularRecurrence, log_bessel_i_half, log_bessel_k_half
 
 LOG_HALF_PI = math.log(math.pi / 2.0)
 
@@ -47,21 +46,6 @@ class TruncationError(RuntimeError):
         super().__init__(message)
         self.ell_reached = ell_reached
         self.worst_rel = worst_rel
-
-
-@dataclass(frozen=True)
-class MieCoefficient:
-    """Perfect-reflector Mie coefficients at imaginary frequency (real)."""
-
-    ell: int
-    a: ScaledValue
-    b: ScaledValue
-
-
-@dataclass(frozen=True)
-class AmplitudePair:
-    s_perp: ScaledValue
-    s_par: ScaledValue
 
 
 def _mie_ab_log_arrays(x: float, ell_max: int):
@@ -84,25 +68,13 @@ def _mie_ab_log_arrays(x: float, ell_max: int):
     return sign_a, log_a, sign_b, log_b
 
 
-def mie_ab(ell: int, x: float) -> MieCoefficient:
-    """Single Mie coefficient pair; see module docstring for the form used."""
-    if ell < 1:
-        raise ValueError("partial-wave index must be >= 1")
-    sign_a, log_a, sign_b, log_b = _mie_ab_log_arrays(x, ell)
-    return MieCoefficient(
-        ell,
-        ScaledValue.from_sign_log(float(sign_a[-1]), float(log_a[-1])),
-        ScaledValue.from_sign_log(float(sign_b[-1]), float(log_b[-1])),
-    )
-
-
 class ExactAmplitudes:
     """Adaptive partial-wave summation of S_perp, S_par at fixed (xi, R).
 
     The Mie coefficient arrays depend on xi only and are grown lazily, so
-    one instance can be shared by every kernel evaluation at the same
-    frequency (the solver's hot loop).  Calls are vectorized over an array
-    of cos(Theta) values.
+    one call over every cos(Theta) value of a frequency (the solver's hot
+    loop makes one per xi node) computes them once.  Calls are vectorized
+    over an array of cos(Theta) values.
 
     Scale: each element is summed on one scale fixed before the ell loop,
     the WKB exponent 2x sin(Theta/2), so the returned mantissas are the
@@ -112,21 +84,21 @@ class ExactAmplitudes:
     it underflow to 0.
 
     Convergence: summation continues until the current term is below
-    `tol` times the running sum for three consecutive ell on every array
+    `TOL` times the running sum for three consecutive ell on every array
     element (past the coefficient peak the terms decay faster than
     geometrically, so this certifies the tail at the same level).  An
     element whose sum is still 0 has not converged.
     """
 
     GROWTH = 2.0
+    TOL = 1e-13
 
-    def __init__(self, xi: float, R: float, tol: float = 1e-13, ell_cap: int | None = None):
+    def __init__(self, xi: float, R: float):
         if xi <= 0.0 or R <= 0.0:
             raise ValueError("ExactAmplitudes requires xi > 0 and R > 0")
         self.xi = xi
         self.R = R
         self.x = xi * R
-        self.tol = tol
         # Wiscombe-style start; the cap grows with the largest |z| requested
         self._n_coeff = 0
         self._sign_a = np.empty(0)
@@ -134,7 +106,6 @@ class ExactAmplitudes:
         self._sign_b = np.empty(0)
         self._log_b = np.empty(0)
         self._extend(int(self.x + 10.0 * self.x ** (1.0 / 3.0) + 32))
-        self.ell_cap = ell_cap
 
     def _extend(self, n: int) -> None:
         if n <= self._n_coeff:
@@ -145,8 +116,6 @@ class ExactAmplitudes:
         self._n_coeff = n
 
     def _cap_for(self, z_extreme: float) -> int:
-        if self.ell_cap is not None:
-            return self.ell_cap
         # dominant ell grows like x * sqrt((|z|+1)/2) (impact parameter)
         return int(3.0 * self.x * math.sqrt((abs(z_extreme) + 1.0) / 2.0)) + 4000
 
@@ -188,7 +157,7 @@ class ExactAmplitudes:
                 term = np.abs(t_perp) + np.abs(t_par)
                 total = np.abs(acc_perp) + np.abs(acc_par)
                 # strict: a sum that is still 0 is never calm
-                calm = calm + 1 if np.all(term < self.tol * total) else 0
+                calm = calm + 1 if np.all(term < self.TOL * total) else 0
                 if calm >= 3:
                     break
             if ell >= cap:
@@ -206,48 +175,18 @@ class ExactAmplitudes:
         return acc_perp, acc_par, log_scale
 
 
-def amplitudes_exact(xi: float, R: float, cos_theta: float, tol: float = 1e-13) -> AmplitudePair:
-    """Exact S_perp, S_par by adaptive partial-wave summation (scalar API)."""
-    mant_perp, mant_par, log_acc = ExactAmplitudes(xi, R, tol=tol)(np.array([cos_theta]))
-    return AmplitudePair(
-        ScaledValue(float(mant_perp[0]), float(log_acc[0])).normalized(),
-        ScaledValue(float(mant_par[0]), float(log_acc[0])).normalized(),
-    )
-
-
-def wkb_diffraction_s(xi: float, cos_theta: float) -> tuple[float, float]:
+def wkb_diffraction_s(xi, p_diff):
     """Diffraction corrections (s_perp, s_par) of the order-1/R WKB amplitude.
 
-    s_perp = (1/2 xi) cos(Theta)/sin^3(Theta/2), s_par = -(1/2 xi)/sin^3(Theta/2).
+    s_perp = (1/2 xi) cos(Theta)/sin^3(Theta/2), s_par = -(1/2 xi)/sin^3(Theta/2),
+    written with cos(Theta) = -(xi^2 + p_diff)/xi^2 and xi sin(Theta/2) =
+    h = sqrt((2 xi^2 + p_diff)/2), p_diff = P - xi^2 >= 0 as in
+    reflection._p_diff: s_perp = -(xi^2 + p_diff)/(2 h^3) and
+    s_par = -xi^2/(2 h^3).  Both are strictly negative.  Vectorized over
+    broadcastable (xi, p_diff).
     """
-    sh = math.sqrt(0.5 * (1.0 - cos_theta))
-    return 0.5 * cos_theta / (xi * sh**3), -0.5 / (xi * sh**3)
-
-
-def amplitudes_wkb(xi: float, R: float, cos_theta: float, order: int = 1) -> AmplitudePair:
-    """WKB amplitudes S_p = (-1)^p (xi R/2) e^{2 xi R sin(Theta/2)}, p=1 perp, p=2 par.
-
-    order=1 multiplies each by (1 + s_p/R).  The returned ScaledValues keep
-    the physical exponent 2 xi R sin(Theta/2) in `log_scale` unnormalized,
-    so that its exact cancellation against the translation factors can be
-    asserted in log space.
-    """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    if xi <= 0.0 or R <= 0.0:
-        raise ValueError("amplitudes_wkb requires xi > 0 and R > 0")
-    sh = math.sqrt(0.5 * (1.0 - cos_theta))
-    if sh < 1.0 - 1e-12:
-        # unreachable for cos(Theta) <= -1; guards against real-angle misuse
-        raise ValueError("forward direction (sin(Theta/2) < 1) is outside this branch")
-    exponent = 2.0 * xi * R * sh
-    amp = 0.5 * xi * R
-    f_perp, f_par = 1.0, 1.0
-    if order == 1:
-        s_perp, s_par = wkb_diffraction_s(xi, cos_theta)
-        f_perp += s_perp / R
-        f_par += s_par / R
-    return AmplitudePair(
-        ScaledValue(-amp * f_perp, exponent),
-        ScaledValue(+amp * f_par, exponent),
-    )
+    xi2 = xi * xi
+    p_dot = xi2 + p_diff
+    h = np.sqrt(0.5 * (xi2 + p_dot))
+    inv2h3 = 0.5 / h**3
+    return -(p_dot * inv2h3), -(xi2 * inv2h3)

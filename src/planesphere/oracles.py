@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Geometry, SpectralPoint
-from .mie import ExactAmplitudes
 from .reflection import KernelKind, round_trip_element, sphere_amplitudes
 from .asymptotics import g_function, hessian_eigenvalues
 
@@ -38,18 +37,26 @@ def _kappa_c(xi: float, kx: complex, ky: complex) -> complex:
     return cmath.sqrt(xi * xi + kx * kx + ky * ky)
 
 
+def _eta_c(xi: float, a: np.ndarray, b: np.ndarray) -> complex:
+    """One-leg phase eta = kappa_a + kappa_b - sqrt(2(xi^2 + kappa_a kappa_b + k_a.k_b)).
+
+    a and b are complex transverse wave vectors (k_x, k_y).
+    """
+    ka = _kappa_c(xi, *a)
+    kb = _kappa_c(xi, *b)
+    dot = a[0] * b[0] + a[1] * b[1]
+    return ka + kb - cmath.sqrt(2.0 * (xi * xi + ka * kb + dot))
+
+
 def f_phase(xi: float, config: np.ndarray) -> complex:
     """Round-trip phase f = sum_j eta(j, j+1) on a complex k configuration.
 
     config has shape (r, 2) holding (k_x, k_y) per leg.
     """
     r = config.shape[0]
-    kap = [_kappa_c(xi, *config[j]) for j in range(r)]
     total = 0.0 + 0.0j
     for j in range(r):
-        jn = (j + 1) % r
-        dot = config[j, 0] * config[jn, 0] + config[j, 1] * config[jn, 1]
-        total += kap[j] + kap[jn] - cmath.sqrt(2.0 * (xi * xi + kap[j] * kap[jn] + dot))
+        total += _eta_c(xi, config[j], config[(j + 1) % r])
     return total
 
 
@@ -310,17 +317,14 @@ def polarization_mixing_cancellation(r: int, xi: float, kappa_sp: float,
 
     x0 = np.zeros((r, 2))
     x0[:, 0] = k_sp
-    w = w_matrix(r)
 
     def conj_hessian(func) -> float:
         total = 0.0
         h = step * kappa_sp
         for i in range(1, r):
             for alpha in (0, 1):
-                u = np.zeros((r, 2), dtype=complex)
-                u[:, alpha] = w[:, i]
-                v = np.zeros((r, 2), dtype=complex)
-                v[:, alpha] = w[:, r - i]
+                u = w_direction(r, i, alpha)
+                v = w_direction(r, r - i, alpha)
                 # d^2/du dv by bilinearity over real/imaginary parts:
                 # d_u d_v = d_ur d_vr - d_ui d_vi + i(d_ur d_vi + d_ui d_vr);
                 # the result is real by conjugate symmetry, so only the first
@@ -359,13 +363,7 @@ def d_pq_classes(r: int, xi: float, kappa_sp: float, step: float = 0.04) -> dict
     stencil = DerivativeStencil(step=step * kappa_sp)
 
     def eta_leg(p):
-        def func(config):
-            jn = (p + 1) % r
-            ka = _kappa_c(xi, *config[p])
-            kb = _kappa_c(xi, *config[jn])
-            dot = config[p, 0] * config[jn, 0] + config[p, 1] * config[jn, 1]
-            return ka + kb - cmath.sqrt(2.0 * (xi * xi + ka * kb + dot))
-        return func
+        return lambda config: _eta_c(xi, config[p], config[(p + 1) % r])
 
     def unit(j, alpha):
         e = np.zeros((r, 2), dtype=complex)
@@ -400,7 +398,7 @@ def d_pq_classes(r: int, xi: float, kappa_sp: float, step: float = 0.04) -> dict
 # brute-force round-trip traces (no Nystrom blocks, no FFT)
 # ---------------------------------------------------------------------------
 
-def _radial_gl(n: int, xi: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
+def _radial_gl(n: int, xi: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes on [0, k_max].
 
     The sphere amplitude grows like e^{2 xi R sin(Theta/2)}, which on the
@@ -415,7 +413,7 @@ def _radial_gl(n: int, xi: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * k_max * (t + 1.0), 0.5 * k_max * w
 
 
-def _pair_elements(xi, ka, kb, dphi, rho, amps):
+def _pair_elements(xi, ka, kb, dphi, rho):
     """Plane-dressed channels (MM, EE, ME, EM) of both legs of a loop.
 
     Returns the leg in=a -> out=b at dphi and the leg in=b -> out=a at
@@ -424,7 +422,7 @@ def _pair_elements(xi, ka, kb, dphi, rho, amps):
     each gets its own polarization rotation.  Vectorized over broadcastable
     inputs.
     """
-    amplitudes = sphere_amplitudes(xi, ka, kb, dphi, rho, KernelKind.EXACT_MIE, amps)
+    amplitudes = sphere_amplitudes(xi, ka, kb, dphi, rho, KernelKind.EXACT_MIE)
     legs = []
     for k_in, k_out, angle in ((ka, kb, dphi), (kb, ka, -dphi)):
         mm, ee, me, em, log_scale = round_trip_element(
@@ -445,12 +443,9 @@ def brute_force_trace(r: int, xi: float, geometry: Geometry,
     solver: no symmetrized blocks, no FFT, no azimuthal series.
     """
     rho = geometry.aspect_ratio
-    amps = ExactAmplitudes(xi, rho)
-    k, wk = _radial_gl(n_k, xi, rho)
+    k, wk = _radial_gl(n_k, xi)
     if r == 1:
-        mm, ee, _, _, log_scale = round_trip_element(
-            xi, k, k, 0.0, rho, KernelKind.EXACT_MIE, amps
-        )
+        mm, ee, _, _, log_scale = round_trip_element(xi, k, k, 0.0, rho, KernelKind.EXACT_MIE)
         integrand = (mm + ee) * np.exp(log_scale)
         return float(np.sum(k * wk * integrand)) / (2.0 * math.pi)
     if r == 2:
@@ -460,7 +455,7 @@ def brute_force_trace(r: int, xi: float, geometry: Geometry,
         k2 = k[None, :, None]
         dphi = phi[None, None, :]
         (mm_f, ee_f, me_f, em_f), (mm_b, ee_b, me_b, em_b) = _pair_elements(
-            xi, k1, k2, dphi, rho, amps
+            xi, k1, k2, dphi, rho
         )
         pol_sum = mm_f * mm_b + ee_f * ee_b + me_f * em_b + em_f * me_b
         meas = (k * wk)[:, None, None] * (k * wk)[None, :, None] * w_phi

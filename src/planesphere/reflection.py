@@ -32,10 +32,12 @@ test suite only and must agree with this fast path to 1e-12.
 
 `round_trip_element` is the one implementation of the symmetrized
 plane -> sphere -> plane element: the solver's kernel sampling
-(solver._fourier_kernels), the brute-force trace oracle
-(oracles._pair_elements) and the scalar API at the end of this module all
-call it.  Beneath it, `sphere_element` combines the sphere amplitudes of
-the three kernels with the chi rotation.
+(solver._fourier_kernels) and the brute-force trace oracle
+(oracles._pair_elements) call it.  Beneath it, `sphere_element` combines
+the sphere amplitudes of the three kernels with the chi rotation; the
+saddle weight asymptotics.g_function calls it directly.  All of them are
+vectorized over broadcastable (xi, k_in, k_out, dphi) arrays and return
+mantissas with one log scale.
 """
 from __future__ import annotations
 
@@ -45,9 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Geometry, Polarization, SpectralPoint, cos_theta
-from .mie import ExactAmplitudes
-from .special import ScaledValue
+from .core import Polarization
+from .mie import ExactAmplitudes, wkb_diffraction_s
 
 
 class KernelKind(Enum):
@@ -135,19 +136,17 @@ def plane_reflection(pol: Polarization) -> float:
     return 1.0 if pol is Polarization.TM else -1.0
 
 
-def _amplitudes(xi, p_diff, rho, kind, amps) -> Amplitudes:
+def _amplitudes(xi, p_diff, rho, kind) -> Amplitudes:
     """Sphere amplitudes of one kernel at cos(Theta) = -1 - p_diff / xi^2.
 
     The WKB kinds use S_p = (-1)^p (xi R/2) e^{2 xi R sin(Theta/2)} f_p
     (p=1 perp, p=2 par) with xi sin(Theta/2) = sqrt((2 xi^2 + p_diff)/2):
-    f_p = 1 for wkb0 and f_p = e^{s_p/R} for wkb1.
+    f_p = 1 for wkb0 and f_p = e^{s_p/R} for wkb1 (s_p of mie.wkb_diffraction_s).
     """
     xi2 = xi * xi
     if kind is KernelKind.EXACT_MIE:
-        if amps is None:
-            amps = ExactAmplitudes(xi, rho)
         z = -1.0 - p_diff / xi2
-        perp, par, log_amp = amps(np.ravel(z))
+        perp, par, log_amp = ExactAmplitudes(xi, rho)(np.ravel(z))
         shape = np.shape(z)
         return Amplitudes(perp.reshape(shape), par.reshape(shape),
                           log_amp.reshape(shape), 2.0 * math.pi / xi)
@@ -160,28 +159,27 @@ def _amplitudes(xi, p_diff, rho, kind, amps) -> Amplitudes:
         # near backscattering at small xi (the glory region), which destroys
         # contraction of the discretized block even though that region's
         # true contribution is negligible.
-        inv2h3 = 0.5 / h**3
-        par = np.exp(-(xi2 * inv2h3) / rho)     # e^{s_par / R}
-        perp = -np.exp(-(p_dot * inv2h3) / rho)  # -e^{s_perp / R}
+        s_perp, s_par = wkb_diffraction_s(xi, p_diff)
+        par = np.exp(s_par / rho)
+        perp = -np.exp(s_perp / rho)
     else:
         par = np.ones_like(h)
         perp = np.full_like(h, -1.0)
     return Amplitudes(perp, par, 2.0 * rho * h, math.pi * rho)
 
 
-def sphere_amplitudes(xi, k_in, k_out, dphi, rho, kind, amps=None) -> Amplitudes:
+def sphere_amplitudes(xi, k_in, k_out, dphi, rho, kind) -> Amplitudes:
     """The amplitudes `sphere_element` uses, for passing back in.
 
     They depend on the channels only through cos(Theta), which is unchanged
     by swapping in and out and negating dphi, so both legs of a loop can
-    share one evaluation.  amps is the ExactAmplitudes of this (xi, R) for
-    the exact kind (built here if None).
+    share one evaluation.
     """
     kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
-    return _amplitudes(xi, _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi), rho, kind, amps)
+    return _amplitudes(xi, _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi), rho, kind)
 
 
-def sphere_element(xi, k_in, k_out, dphi, rho, kind, amps=None, amplitudes=None,
+def sphere_element(xi, k_in, k_out, dphi, rho, kind, amplitudes=None,
                    r_tm=1.0, r_te=1.0) -> Channels:
     """kappa_out <out|R_S|in> of a sphere of radius rho, four channels at once.
 
@@ -193,7 +191,7 @@ def sphere_element(xi, k_in, k_out, dphi, rho, kind, amps=None, amplitudes=None,
     kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
     p_diff = _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi)
     if amplitudes is None:
-        amplitudes = _amplitudes(xi, p_diff, rho, kind, amps)
+        amplitudes = _amplitudes(xi, p_diff, rho, kind)
     perp, par, log_scale, pref = amplitudes
     a, b, c, d = abcd_arrays(xi, k_in, k_out, kap_in, kap_out, dphi, p_diff)
     tm, te = r_tm * pref, r_te * pref
@@ -206,8 +204,7 @@ def sphere_element(xi, k_in, k_out, dphi, rho, kind, amps=None, amplitudes=None,
     )
 
 
-def round_trip_element(xi, k_in, k_out, dphi, rho, kind, amps=None,
-                       amplitudes=None) -> Channels:
+def round_trip_element(xi, k_in, k_out, dphi, rho, kind, amplitudes=None) -> Channels:
     """One symmetrized leg plane -> sphere -> plane, four channels at once.
 
     The sphere element times the plane's Fresnel coefficient of the
@@ -219,55 +216,10 @@ def round_trip_element(xi, k_in, k_out, dphi, rho, kind, amps=None,
     <= 0 for the WKB kinds).  Arguments as for `sphere_element`; quadrature
     weights are the caller's.
     """
-    el = sphere_element(xi, k_in, k_out, dphi, rho, kind, amps, amplitudes,
+    el = sphere_element(xi, k_in, k_out, dphi, rho, kind, amplitudes,
                         plane_reflection(Polarization.TM), plane_reflection(Polarization.TE))
     kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
     log_scale = (el.log_scale - (kap_in + kap_out) * (1.0 + rho)
                  - 0.5 * (np.log(kap_in) + np.log(kap_out)))
     return el._replace(log_scale=log_scale)
 
-
-# channel of (pol_out, pol_in)
-_CHANNEL = {
-    (Polarization.TM, Polarization.TM): "mm",
-    (Polarization.TE, Polarization.TE): "ee",
-    (Polarization.TM, Polarization.TE): "me",
-    (Polarization.TE, Polarization.TM): "em",
-}
-
-
-def _dphi(pt_in: SpectralPoint, pt_out: SpectralPoint) -> float:
-    cos_theta(pt_in, pt_out)  # rejects unequal or zero xi
-    return pt_out.phi_az - pt_in.phi_az
-
-
-def sphere_matrix_element(
-    pt_in: SpectralPoint,
-    pol_in: Polarization,
-    pt_out: SpectralPoint,
-    pol_out: Polarization,
-    kind: KernelKind,
-    R: float,
-) -> ScaledValue:
-    """Matrix element <out, pol_out | R_S | in, pol_in>, log-scaled.
-
-    For the WKB kinds the log scale is the physical exponent
-    2 xi R sin(Theta/2).
-    """
-    el = sphere_element(pt_in.xi, pt_in.k, pt_out.k, _dphi(pt_in, pt_out), R, kind)
-    mant = getattr(el, _CHANNEL[pol_out, pol_in])
-    return ScaledValue(float(mant) / pt_out.kappa, float(el.log_scale))
-
-
-def symmetrized_round_trip_element(
-    pt_in: SpectralPoint,
-    pol_in: Polarization,
-    pt_out: SpectralPoint,
-    pol_out: Polarization,
-    geometry: Geometry,
-    kind: KernelKind,
-) -> float:
-    """One channel of `round_trip_element`, collapsed to a plain float."""
-    el = round_trip_element(pt_in.xi, pt_in.k, pt_out.k, _dphi(pt_in, pt_out),
-                            geometry.aspect_ratio, kind)
-    return float(getattr(el, _CHANNEL[pol_out, pol_in]) * np.exp(el.log_scale))

@@ -29,6 +29,8 @@ translation damping, so every assembled entry is a plain float.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -39,9 +41,8 @@ import numpy as np
 
 from .asymptotics import e_pfa
 from .core import Geometry
-from .mie import ExactAmplitudes
 from .reflection import KernelKind, round_trip_element
-from .reflection import chi_components  # noqa: F401  (kept importable here for profilers)
+from .reflection import chi_components  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 
 class NonContractiveKernelError(RuntimeError):
@@ -137,8 +138,7 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
     radial node pairs and each coefficient array has shape
     (n_pairs, n_azimuthal/2 + 1).  cee already carries the -1 of the TE
     Fresnel sign; x_ij / x_ji are the sine coefficients of the mixed
-    kernel for (out=i, in=j) and (out=j, in=i).  The tuple continues with
-    the radial nodes and weights.
+    kernel for (out=i, in=j) and (out=j, in=i).
     """
     rho = geometry.aspect_ratio
     n = config.n_radial
@@ -166,13 +166,12 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
     ii, jj = ii[keep], jj[keep]
     if ii.size == 0:
         empty = np.zeros((0, mh + 1))
-        return ii, jj, empty, empty, empty, empty, k, wk
+        return ii, jj, empty, empty, empty, empty
 
     ka, kb = k[ii][:, None], k[jj][:, None]
     delta = (2.0 * math.pi / m_grid) * np.arange(mh + 1)[None, :]
-    amps = ExactAmplitudes(xi, rho) if kind is KernelKind.EXACT_MIE else None
     # orientation in=j -> out=i
-    cmm, cee, x_ij, x_ji, log_scale = round_trip_element(xi, kb, ka, delta, rho, kind, amps)
+    cmm, cee, x_ij, x_ji, log_scale = round_trip_element(xi, kb, ka, delta, rho, kind)
     scale = np.exp(log_scale + (log_w[ii] + log_w[jj])[:, None])
     cmm *= scale
     cee *= scale
@@ -198,7 +197,7 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
     cee = cos_coeff(cee)
     x_ij = sin_coeff(x_ij)
     x_ji = sin_coeff(x_ji)
-    return ii, jj, cmm, cee, x_ij, x_ji, k, wk
+    return ii, jj, cmm, cee, x_ij, x_ji
 
 
 def _assemble_block(n, m, ii, jj, cmm, cee, x_ij, x_ji) -> np.ndarray:
@@ -238,7 +237,7 @@ def _block_norms(ii, jj, cmm, cee, x_ij, x_ji) -> np.ndarray:
 def _iter_blocks(xi: float, geometry: Geometry, kind: KernelKind,
                  config: QuadratureConfig) -> Iterator[BlockMatrix]:
     """Yield blocks for m = 0, 1, ... up to m_max or the norm cutoff."""
-    ii, jj, cmm, cee, x_ij, x_ji, _, _ = _fourier_kernels(xi, geometry, kind, config)
+    ii, jj, cmm, cee, x_ij, x_ji = _fourier_kernels(xi, geometry, kind, config)
     if ii.size == 0:
         return
     m_cap = config.m_max
@@ -290,21 +289,43 @@ def _xi_contribution(args) -> tuple[float, int]:
     return total, m_used
 
 
+def _single_blas_thread() -> None:
+    """Pool-worker initializer: run numpy's bundled OpenBLAS on one thread.
+
+    Every worker already occupies a core, so OpenBLAS threads of its own
+    would oversubscribe them.  Calls the runtime setter of the OpenBLAS
+    shipped in numpy.libs; does nothing if that library or its setter is
+    not found.
+    """
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas*.so")
+    for path in glob.glob(pattern):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+        return
+
+
 def energy(geometry: Geometry, kind: KernelKind,
            config: QuadratureConfig | None = None, threads: int = 1) -> EnergyReport:
     """Casimir energy in units hbar c / L, with the ratio to the PFA value.
 
     The xi integral runs over the nodes of half_line_nodes_weights, like
     the radial integral; each node is independent, so
-    threads > 1 distributes nodes over a process pool (results are summed
-    in fixed node order regardless of scheduling).
+    threads > 1 distributes nodes over a process pool whose workers run
+    BLAS on one thread each (results are summed in fixed node order
+    regardless of scheduling).
     """
     if config is None:
         config = QuadratureConfig.auto(geometry)
     xi_nodes, xi_weights = half_line_nodes_weights(config.n_xi)
     jobs = [(float(xi), geometry, kind, config) for xi in xi_nodes]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_single_blas_thread) as pool:
             results = list(pool.map(_xi_contribution, jobs))
     else:
         results = [_xi_contribution(job) for job in jobs]

@@ -26,82 +26,10 @@ Implementation notes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-_LN10 = math.log(10.0)
 EULER_GAMMA = 0.57721566490153286060651209008240243
-
-
-@dataclass(frozen=True)
-class ScaledValue:
-    """A real number stored as mantissa * exp(log_scale).
-
-    After `normalized()` the mantissa lies in [-1, -0.1] or [0.1, 1] (or is
-    exactly 0), which makes the representation unique and comparisons cheap.
-    """
-
-    mantissa: float
-    log_scale: float = 0.0
-
-    def normalized(self) -> "ScaledValue":
-        m = self.mantissa
-        if m == 0.0:
-            return ScaledValue(0.0, 0.0)
-        a = abs(m)
-        # decimal shift putting |mantissa| into (0.1, 1]
-        shift = math.floor(math.log10(a)) + 1
-        mant = m / 10.0**shift
-        # guard against log10 rounding at exact powers of ten
-        if abs(mant) > 1.0:
-            mant /= 10.0
-            shift += 1
-        elif abs(mant) <= 0.1:
-            mant *= 10.0
-            shift -= 1
-        return ScaledValue(mant, self.log_scale + shift * _LN10)
-
-    @property
-    def sign(self) -> float:
-        return math.copysign(1.0, self.mantissa) if self.mantissa != 0.0 else 0.0
-
-    def log_abs(self) -> float:
-        if self.mantissa == 0.0:
-            return -math.inf
-        return math.log(abs(self.mantissa)) + self.log_scale
-
-    def to_float(self) -> float:
-        """Collapse to an ordinary float (may overflow to inf by design)."""
-        if self.mantissa == 0.0:
-            return 0.0
-        return self.mantissa * math.exp(self.log_scale)
-
-    def __mul__(self, other: "ScaledValue") -> "ScaledValue":
-        return ScaledValue(
-            self.mantissa * other.mantissa, self.log_scale + other.log_scale
-        ).normalized()
-
-    @staticmethod
-    def from_sign_log(sign: float, log_abs: float) -> "ScaledValue":
-        if sign == 0.0 or log_abs == -math.inf:
-            return ScaledValue(0.0, 0.0)
-        return ScaledValue(math.copysign(1.0, sign), log_abs).normalized()
-
-
-@dataclass(frozen=True)
-class ScaledArray:
-    """Array companion of ScaledValue: values = mantissa * exp(log_scale)."""
-
-    mantissa: np.ndarray
-    log_scale: np.ndarray
-
-    def __getitem__(self, idx) -> ScaledValue:
-        return ScaledValue(float(self.mantissa[idx]), float(self.log_scale[idx])).normalized()
-
-    def log_abs(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(self.mantissa)) + self.log_scale
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +76,10 @@ def log_bessel_i_half(ell_max: int, x: float) -> np.ndarray:
         raise ValueError("ell_max must be >= 0")
     # r[ell] = I_{ell+3/2}/I_{ell+1/2}
     r = np.empty(ell_max + 1)
-    if ell_max >= 0:
-        r[ell_max] = _bessel_i_ratio(ell_max + 0.5, x)
-        for ell in range(ell_max - 1, -1, -1):
-            # 1/r_nu = 2(nu+1)/x + r_{nu+1}, nu = ell + 1/2
-            r[ell] = 1.0 / ((2.0 * ell + 3.0) / x + r[ell + 1])
+    r[ell_max] = _bessel_i_ratio(ell_max + 0.5, x)
+    for ell in range(ell_max - 1, -1, -1):
+        # 1/r_nu = 2(nu+1)/x + r_{nu+1}, nu = ell + 1/2
+        r[ell] = 1.0 / ((2.0 * ell + 3.0) / x + r[ell + 1])
     out = np.empty(ell_max + 1)
     # log I_{1/2} = log(sqrt(2/(pi x))) + x + log((1 - e^{-2x})/2)
     out[0] = 0.5 * math.log(2.0 / (math.pi * x)) + x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
@@ -184,45 +111,6 @@ def log_bessel_k_half(ell_max: int, x: float) -> np.ndarray:
         acc += np.log(np.longdouble(t))
         out[ell] = float(acc)
     return out
-
-
-def bessel_ik_half_scaled(
-    ell: int, x: float
-) -> tuple[ScaledValue, ScaledValue, ScaledValue, ScaledValue]:
-    """Scaled I_{ell+1/2}, K_{ell+1/2} and their x-derivatives.
-
-    Parameters
-    ----------
-    ell : int
-        Order offset, nu = ell + 1/2; supported up to at least 10^5.
-    x : float
-        Positive argument.
-
-    Returns
-    -------
-    (I, K, I', K') as ScaledValue instances; I, I' > 0, K > 0, K' < 0.
-
-    Derivatives follow from
-        I'_nu = I_{nu+1} + (nu/x) I_nu,
-        K'_nu = (nu/x) K_nu - K_{nu+1},
-    which are cancellation-free (the K' terms never come close in size).
-    """
-    if x <= 0.0:
-        raise ValueError("bessel argument must be positive")
-    if ell < 0:
-        raise ValueError("order must be >= 0")
-    nu = ell + 0.5
-    log_i = log_bessel_i_half(ell + 1, x)
-    log_k = log_bessel_k_half(ell + 1, x)
-    i_val = ScaledValue.from_sign_log(1.0, float(log_i[ell]))
-    k_val = ScaledValue.from_sign_log(1.0, float(log_k[ell]))
-    # I' = I_{nu+1} (1 + (nu/x) I_nu / I_{nu+1})
-    ratio_i = math.exp(log_i[ell] - log_i[ell + 1])
-    i_der = ScaledValue(1.0 + (nu / x) * ratio_i, float(log_i[ell + 1])).normalized()
-    # K' = -K_{nu+1} (1 - (nu/x) K_nu / K_{nu+1})
-    ratio_k = math.exp(log_k[ell] - log_k[ell + 1])
-    k_der = ScaledValue(-(1.0 - (nu / x) * ratio_k), float(log_k[ell + 1])).normalized()
-    return i_val, k_val, i_der, k_der
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +161,11 @@ def exp_integral_e1(u: float) -> float:
 class AngularRecurrence:
     """Incremental, vectorized evaluation of pi_ell(z), tau_ell(z), z <= -1.
 
+    The recurrences are
+        pi_ell = ((2 ell - 1) z pi_{ell-1} - ell pi_{ell-2}) / (ell - 1),
+        tau_ell = ell z pi_ell - (ell + 1) pi_{ell-1},
+    with pi_0 = 0, pi_1 = 1; each `advance` takes one step in ell.
+
     The scale is fixed before the first step: `pi` and `tau` hold
     pi_ell / q^(ell-1) and tau_ell / q^(ell-1), with q = |z| + sqrt(z^2-1)
     the growth factor of the recurrence, and `log_offset` = (ell-1) log q
@@ -311,26 +204,3 @@ class AngularRecurrence:
         self.pi_prev = pi_cur
         self.tau = ell * self.z * self.pi - (ell + 1) * pi_cur
         self.ell = ell
-
-
-def pi_tau(ell_max: int, z: float) -> tuple[ScaledArray, ScaledArray]:
-    """pi_ell(z) and tau_ell(z) for ell = 1..ell_max as scaled arrays.
-
-    The recurrences are
-        pi_ell = ((2 ell - 1) z pi_{ell-1} - ell pi_{ell-2}) / (ell - 1),
-        tau_ell = ell z pi_ell - (ell + 1) pi_{ell-1},
-    with pi_0 = 0, pi_1 = 1; see AngularRecurrence for the fixed scale.
-    """
-    if ell_max < 1:
-        raise ValueError("ell_max must be >= 1")
-    if z > -1.0:
-        raise ValueError("angular functions require z <= -1 (imaginary-frequency branch)")
-    rec = AngularRecurrence(np.array([z]))
-    pi_m = np.empty(ell_max)
-    tau_m = np.empty(ell_max)
-    logs = np.empty(ell_max)
-    pi_m[0], tau_m[0], logs[0] = rec.pi[0], rec.tau[0], rec.log_offset[0]
-    for i in range(1, ell_max):
-        rec.advance()
-        pi_m[i], tau_m[i], logs[i] = rec.pi[0], rec.tau[0], rec.log_offset[0]
-    return ScaledArray(pi_m, logs.copy()), ScaledArray(tau_m, logs.copy())

@@ -18,15 +18,15 @@ from planesphere.asymptotics import (
     reconstruct_beta_go,
     reconstruct_e_p0_coefficients,
 )
-from planesphere.core import Geometry, Polarization, SpectralPoint
-from planesphere.reflection import KernelKind, sphere_matrix_element
+from planesphere.core import Geometry, Polarization
+from planesphere.reflection import KernelKind, sphere_element
 from planesphere.solver import (
     QuadratureConfig,
     build_blocks,
     energy,
     trace_Mr_numeric,
 )
-from planesphere.special import bessel_ik_half_scaled
+from planesphere.special import log_bessel_i_half, log_bessel_k_half
 
 PI2 = math.pi**2
 TM, TE = Polarization.TM, Polarization.TE
@@ -211,19 +211,16 @@ def test_criterion_8_mercator_series_within_bound():
 
 
 def test_criterion_8_azimuth_origin_invariance():
+    # in = (k 1.3, phi 0.4), out = (k 2.4, phi 2.1), both azimuths shifted;
+    # every channel of <out|R_S|in> (sphere_element carries kappa_out)
     shift = 0.87654321
+    kap_out = math.hypot(0.8, 2.4)
     for kind in KernelKind:
-        for pol_in in (TM, TE):
-            for pol_out in (TM, TE):
-                a0 = SpectralPoint(xi=0.8, k=1.3, phi_az=0.4)
-                b0 = SpectralPoint(xi=0.8, k=2.4, phi_az=2.1)
-                a1 = SpectralPoint(xi=0.8, k=1.3, phi_az=0.4 + shift)
-                b1 = SpectralPoint(xi=0.8, k=2.4, phi_az=2.1 + shift)
-                e0 = sphere_matrix_element(a0, pol_in, b0, pol_out, kind, 3.0)
-                e1 = sphere_matrix_element(a1, pol_in, b1, pol_out, kind, 3.0)
-                assert e1.mantissa * math.exp(e1.log_scale - e0.log_scale) == (
-                    pytest.approx(e0.mantissa, rel=1e-12, abs=1e-15)
-                )
+        e0 = sphere_element(0.8, 1.3, 2.4, 2.1 - 0.4, 3.0, kind)
+        e1 = sphere_element(0.8, 1.3, 2.4, (2.1 + shift) - (0.4 + shift), 3.0, kind)
+        for channel in ("mm", "ee", "me", "em"):
+            got = getattr(e1, channel) / kap_out * math.exp(e1.log_scale - e0.log_scale)
+            assert got == pytest.approx(getattr(e0, channel) / kap_out, rel=1e-12, abs=1e-15)
 
 
 def test_criterion_8_scaling_invariance():
@@ -234,12 +231,9 @@ def test_criterion_8_scaling_invariance():
 
 
 def test_criterion_8_wronskian():
+    # I K' - I' K = -1/x, written I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x
     for ell, x in ((0, 0.5), (3, 2.0), (25, 10.0), (200, 170.0), (1000, 900.0)):
-        i_v, k_v, i_d, k_d = bessel_ik_half_scaled(ell, x)
-        term1 = i_v * k_d
-        term2 = i_d * k_v
-        lead = max(term1.log_scale, term2.log_scale)
-        diff = term1.mantissa * math.exp(term1.log_scale - lead) - (
-            term2.mantissa * math.exp(term2.log_scale - lead)
-        )
-        assert abs(diff * math.exp(lead) * x + 1.0) < 1e-10
+        log_i = log_bessel_i_half(ell + 1, x)
+        log_k = log_bessel_k_half(ell + 1, x)
+        value = math.exp(log_i[ell] + log_k[ell + 1]) + math.exp(log_i[ell + 1] + log_k[ell])
+        assert abs(value * x - 1.0) < 1e-10

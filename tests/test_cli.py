@@ -1,6 +1,7 @@
 """Command-line interface: report shape, serialization, exit codes."""
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -204,6 +205,38 @@ def test_flags_a_command_does_not_read_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--R", "5", "--L", "1", "--n-radial", "0"],
+    ["energy", "--R", "5", "--L", "1", "--n-azimuthal", "0"],
+    ["energy", "--R", "5", "--L", "1", "--n-xi", "0"],
+    ["energy", "--R", "5", "--L", "1", "--threads", "0"],
+    ["energy", "--R", "5", "--L", "1", "--threads", "-3"],
+    ["beta-fit", "--kernel", "wkb0", "--ratios", "30,60", "--model", "linear",
+     "--n-xi", "0"],
+    ["beta-fit", "--kernel", "wkb0", "--ratios", "30,60", "--model", "linear",
+     "--threads", "0"],
+    ["energy", "--R", "5", "--L", "1", "--kernel", "wkb0", "--plot"],
+    ["pfa", "--R", "5", "--L", "1", "--plot"],
+])
+def test_invalid_values_exit_2_with_empty_stdout(argv, capsys):
+    # zero sizes and thread counts are rejected, not replaced by the
+    # automatic values; --plot without --out fails before any report
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_plot_without_matplotlib_exits_2_before_writing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import fails
+    target = tmp_path / "pfa.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["pfa", "--R", "5", "--L", "1", "--out", str(target), "--plot"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
 
 
 def test_domain_error_exits_1(capsys):

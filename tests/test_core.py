@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from planesphere.core import (
-    DegenerateFrequencyError,
-    Geometry,
-    Polarization,
-    SpectralPoint,
-    cos_theta,
-    kappa,
-    sin_half_theta,
-)
+from planesphere.core import Geometry, SpectralPoint, kappa
+from planesphere.reflection import _p_diff
 
 
 def test_geometry_validation():
@@ -31,11 +24,8 @@ def test_spectral_point_validation():
         SpectralPoint(xi=-1.0, k=1.0)
     with pytest.raises(ValueError):
         SpectralPoint(xi=1.0, k=-1.0)
-    with pytest.raises(ValueError):
-        SpectralPoint(xi=1.0, k=1.0, dir=0)
     pt = SpectralPoint(xi=3.0, k=4.0)
     assert pt.kappa == pytest.approx(5.0)
-    assert pt.pol is Polarization.TE
 
 
 @given(
@@ -54,24 +44,19 @@ def test_kappa_definition(xi, k):
     st.floats(min_value=-math.pi, max_value=math.pi),
 )
 def test_cos_theta_branch(xi, k_in, k_out, dphi):
+    # cos(Theta) = -1 - p_diff/xi^2 <= -1 and sin(Theta/2) >= 1, with
+    # p_diff = P - xi^2 from reflection._p_diff
     a = SpectralPoint(xi=xi, k=k_in, phi_az=0.0)
     b = SpectralPoint(xi=xi, k=k_out, phi_az=dphi)
-    z = cos_theta(a, b)
+    p_diff = _p_diff(xi, a.k, b.k, a.kappa, b.kappa, dphi)
+    z = -1.0 - p_diff / xi**2
     assert z <= -1.0 + 1e-9
-    assert sin_half_theta(a, b) >= 1.0 - 1e-9
+    assert math.sqrt(0.5 * (1.0 - z)) >= 1.0 - 1e-9
 
 
 def test_cos_theta_specular_identity():
-    # at the specular point sin(Theta/2) = kappa/xi exactly
+    # at the specular point (k_in = k_out, dphi = 0) xi sin(Theta/2) = kappa,
+    # i.e. (2 xi^2 + p_diff)/2 = kappa^2
     pt = SpectralPoint(xi=0.8, k=1.7)
-    assert sin_half_theta(pt, pt) == pytest.approx(pt.kappa / pt.xi, rel=1e-14)
-
-
-def test_cos_theta_requires_matching_xi_and_positive_xi():
-    a = SpectralPoint(xi=1.0, k=1.0)
-    b = SpectralPoint(xi=2.0, k=1.0)
-    with pytest.raises(ValueError):
-        cos_theta(a, b)
-    c = SpectralPoint(xi=0.0, k=1.0)
-    with pytest.raises(DegenerateFrequencyError):
-        cos_theta(c, c)
+    p_diff = _p_diff(pt.xi, pt.k, pt.k, pt.kappa, pt.kappa, 0.0)
+    assert 0.5 * (2.0 * pt.xi**2 + p_diff) == pytest.approx(pt.kappa**2, rel=1e-14)

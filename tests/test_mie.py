@@ -9,11 +9,10 @@ import pytest
 from planesphere.mie import (
     ExactAmplitudes,
     TruncationError,
-    amplitudes_exact,
-    amplitudes_wkb,
-    mie_ab,
+    _mie_ab_log_arrays,
     wkb_diffraction_s,
 )
+from planesphere.reflection import KernelKind, _amplitudes
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "special_values.csv"
 
@@ -39,24 +38,26 @@ def test_mie_coefficients_against_fixtures():
     a_rows = load_fixtures("mie_a")
     b_rows = load_fixtures("mie_b")
     for (ell, x_str, a_mant, a_log), (_, _, b_mant, b_log) in zip(a_rows, b_rows):
-        coeff = mie_ab(ell, float(x_str))
-        assert coeff.a.to_float() == pytest.approx(a_mant * math.exp(a_log), rel=1e-11)
-        assert coeff.b.to_float() == pytest.approx(b_mant * math.exp(b_log), rel=1e-11)
+        sign_a, log_a, sign_b, log_b = _mie_ab_log_arrays(float(x_str), ell)
+        a = sign_a[ell - 1] * math.exp(log_a[ell - 1])
+        b = sign_b[ell - 1] * math.exp(log_b[ell - 1])
+        assert a == pytest.approx(a_mant * math.exp(a_log), rel=1e-11)
+        assert b == pytest.approx(b_mant * math.exp(b_log), rel=1e-11)
 
 
 def test_mie_signs():
     # sign(a_ell) = (-1)^ell, sign(b_ell) = (-1)^{ell+1}
+    sign_a, _, sign_b, _ = _mie_ab_log_arrays(2.5, 8)
     for ell in range(1, 9):
-        coeff = mie_ab(ell, 2.5)
-        assert coeff.a.sign == (-1.0) ** ell
-        assert coeff.b.sign == (-1.0) ** (ell + 1)
+        assert sign_a[ell - 1] == (-1.0) ** ell
+        assert sign_b[ell - 1] == (-1.0) ** (ell + 1)
 
 
 def test_mie_input_validation():
     with pytest.raises(ValueError):
-        mie_ab(0, 1.0)
+        _mie_ab_log_arrays(-1.0, 1)
     with pytest.raises(ValueError):
-        mie_ab(1, -1.0)
+        ExactAmplitudes(-1.0, 1.0)
 
 
 def test_amplitudes_against_fixtures():
@@ -65,27 +66,29 @@ def test_amplitudes_against_fixtures():
     # logs and signs: the largest reference, |S| ~ e^2752, overflows a float
     for perp_row, par_row in zip(perp_rows, par_rows):
         x_str, z_str = perp_row[1].split("|")
-        pair = amplitudes_exact(xi=float(x_str), R=1.0, cos_theta=float(z_str))
-        for got, (_, _, mant, log_scale) in ((pair.s_perp, perp_row), (pair.s_par, par_row)):
-            assert got.log_abs() == pytest.approx(math.log(abs(mant)) + log_scale, abs=1e-10)
-            assert got.sign == math.copysign(1.0, mant)
+        mant_perp, mant_par, log_acc = ExactAmplitudes(float(x_str), 1.0)(np.array([float(z_str)]))
+        for got, (_, _, mant, log_scale) in ((mant_perp[0], perp_row), (mant_par[0], par_row)):
+            assert math.log(abs(got)) + log_acc[0] == pytest.approx(
+                math.log(abs(mant)) + log_scale, abs=1e-10
+            )
+            assert math.copysign(1.0, got) == math.copysign(1.0, mant)
 
 
 def test_amplitudes_wkb_limit():
     """Exact partial-wave sums approach the WKB form as x -> infinity.
 
-    The order-1 corrected WKB amplitude differs from the exact one by
-    O(1/x^2), so the scaled residual must fall ~4x per doubling of x.
+    The mantissas are S_p / e^{2x sin(Theta/2)}, so the order-1 corrected
+    WKB reference is -/+ (x/2)(1 + s_p/R).  It differs from the exact
+    amplitude by O(1/x^2), so the scaled residual must fall ~4x per
+    doubling of x.
     """
-    z = -3.0
+    z, R = -3.0, 1.0
     residuals = []
     for x in (40.0, 80.0, 160.0):
-        exact = amplitudes_exact(xi=x, R=1.0, cos_theta=z)
-        wkb = amplitudes_wkb(xi=x, R=1.0, cos_theta=z, order=1)
-        r_perp = abs(
-            exact.s_perp.to_float() / wkb.s_perp.to_float() - 1.0
-        )
-        r_par = abs(exact.s_par.to_float() / wkb.s_par.to_float() - 1.0)
+        mant_perp, mant_par, _ = ExactAmplitudes(x, R)(np.array([z]))
+        s_perp, s_par = wkb_diffraction_s(x, x * x * (-1.0 - z))
+        r_perp = abs(mant_perp[0] / (-0.5 * x * (1.0 + s_perp / R)) - 1.0)
+        r_par = abs(mant_par[0] / (0.5 * x * (1.0 + s_par / R)) - 1.0)
         residuals.append(max(r_perp, r_par))
     assert residuals[0] < 1e-2
     assert residuals[1] < 0.30 * residuals[0]
@@ -93,37 +96,29 @@ def test_amplitudes_wkb_limit():
 
 
 def test_wkb_exponent_matches_log_scale():
-    # the log_scale of the WKB pair is exactly 2 xi R sin(Theta/2)
+    # the log_scale of the wkb0 amplitudes is exactly 2 xi R sin(Theta/2),
+    # and (2 pi / xi) S_p = pref * mantissa with S_p = -/+ (xi R/2) on it
     xi, R, z = 2.0, 7.0, -5.0
     sh = math.sqrt(0.5 * (1.0 - z))
-    pair = amplitudes_wkb(xi, R, z, order=0)
-    assert pair.s_par.log_scale == pytest.approx(2.0 * xi * R * sh, rel=1e-15)
-    assert pair.s_par.mantissa == pytest.approx(0.5 * xi * R)
-    assert pair.s_perp.mantissa == pytest.approx(-0.5 * xi * R)
+    wkb = _amplitudes(xi, xi * xi * (-1.0 - z), R, KernelKind.WKB0)
+    assert wkb.log_scale == pytest.approx(2.0 * xi * R * sh, rel=1e-15)
+    assert wkb.pref * wkb.par == pytest.approx(2.0 * math.pi / xi * (0.5 * xi * R))
+    assert wkb.pref * wkb.perp == pytest.approx(2.0 * math.pi / xi * (-0.5 * xi * R))
 
 
 def test_wkb_diffraction_signs():
     # both diffraction corrections are strictly negative on the branch z <= -1
+    # and equal the cos(Theta) forms (1/2 xi) z / sh^3 and -(1/2 xi) / sh^3
     for xi in (0.3, 1.0, 4.0):
         for z in (-1.0, -2.0, -50.0):
-            s_perp, s_par = wkb_diffraction_s(xi, z)
+            s_perp, s_par = wkb_diffraction_s(xi, xi * xi * (-1.0 - z))
             assert s_perp < 0.0
             assert s_par < 0.0
             # |s_perp| >= |s_par| since |cos Theta| >= 1
             assert abs(s_perp) >= abs(s_par) - 1e-15
-
-
-def test_exact_amplitudes_vectorized_matches_scalar():
-    xi, R = 1.5, 3.0
-    amps = ExactAmplitudes(xi, R)
-    z = np.array([-1.0, -2.5, -40.0])
-    mant_perp, mant_par, log_acc = amps(z)
-    for idx, zz in enumerate(z):
-        pair = amplitudes_exact(xi, R, float(zz))
-        got = math.log(abs(mant_perp[idx])) + log_acc[idx]
-        assert got == pytest.approx(pair.s_perp.log_abs(), abs=1e-11)
-        got_par = math.log(abs(mant_par[idx])) + log_acc[idx]
-        assert got_par == pytest.approx(pair.s_par.log_abs(), abs=1e-11)
+            sh = math.sqrt(0.5 * (1.0 - z))
+            assert s_perp == pytest.approx(0.5 * z / (xi * sh**3), rel=1e-14)
+            assert s_par == pytest.approx(-0.5 / (xi * sh**3), rel=1e-14)
 
 
 def test_exact_amplitudes_domain_and_clip():
@@ -148,8 +143,9 @@ def test_fixed_scale_is_the_wkb_exponent():
             assert np.all(np.abs(mant) <= max(1.0, x)), x
 
 
-def test_truncation_error_raised_on_tiny_cap():
-    amps = ExactAmplitudes(5.0, 1.0, ell_cap=3)
+def test_truncation_error_raised_on_tiny_cap(monkeypatch):
+    monkeypatch.setattr(ExactAmplitudes, "_cap_for", lambda self, z_extreme: 3)
+    amps = ExactAmplitudes(5.0, 1.0)
     with pytest.raises(TruncationError):
         amps(np.array([-30.0]))
 
@@ -158,8 +154,8 @@ def test_amplitude_scale_tracks_wkb_growth():
     # at large x the log scale of the exact amplitude approaches the WKB
     # exponent 2 x sin(Theta/2); overflow never occurs because only logs grow
     x, z = 300.0, -8.0
-    pair = amplitudes_exact(xi=x, R=1.0, cos_theta=z)
+    _, mant_par, log_acc = ExactAmplitudes(x, 1.0)(np.array([z]))
     sh = math.sqrt(0.5 * (1.0 - z))
-    assert pair.s_par.log_abs() == pytest.approx(
+    assert math.log(abs(mant_par[0])) + log_acc[0] == pytest.approx(
         2.0 * x * sh + math.log(0.5 * x), rel=1e-3
     )

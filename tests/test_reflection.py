@@ -5,17 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from planesphere.core import Geometry, Polarization, SpectralPoint
+from planesphere.core import Polarization, SpectralPoint
+from planesphere.mie import ExactAmplitudes
 from planesphere.reflection import (
     KernelKind,
     abcd_arrays,
     chi_components,
     plane_reflection,
-    sphere_matrix_element,
-    symmetrized_round_trip_element,
+    round_trip_element,
+    sphere_element,
 )
 
 TM, TE = Polarization.TM, Polarization.TE
+CHANNELS = ("mm", "ee", "me", "em")  # (out, in): TM<-TM, TE<-TE, TM<-TE, TE<-TM
+
+
+def element(a: SpectralPoint, b: SpectralPoint, kind: KernelKind, R: float):
+    """sphere_element for in=a -> out=b."""
+    return sphere_element(a.xi, a.k, b.k, b.phi_az - a.phi_az, R, kind)
 
 
 def reference_chi(xi, k_in, k_out, phi_i, phi_o):
@@ -101,19 +108,14 @@ def test_coplanar_channels_do_not_mix():
     assert D == pytest.approx(0.0, abs=1e-14)
     assert A == pytest.approx(1.0, rel=1e-12)
     for kind in KernelKind:
-        el = sphere_matrix_element(a, TE, b, TM, kind, 2.0)
-        assert el.mantissa == pytest.approx(0.0, abs=1e-13)
+        el = element(a, b, kind, 2.0)
+        assert el.em / b.kappa == pytest.approx(0.0, abs=1e-13)  # TE out <- TM in
+        assert el.me / b.kappa == pytest.approx(0.0, abs=1e-13)
 
 
 def test_plane_reflection_signs():
     assert plane_reflection(TM) == 1.0
     assert plane_reflection(TE) == -1.0
-
-
-def test_rotation_requires_matching_xi():
-    with pytest.raises(ValueError):
-        sphere_matrix_element(SpectralPoint(xi=1.0, k=1.0), TM,
-                              SpectralPoint(xi=2.0, k=1.0), TM, KernelKind.WKB0, 2.0)
 
 
 @pytest.mark.parametrize("kind", list(KernelKind))
@@ -129,78 +131,72 @@ def test_reciprocity(kind):
         xi = rng.uniform(0.3, 2.0)
         a = SpectralPoint(xi=xi, k=rng.uniform(0.05, 4.0), phi_az=rng.uniform(0, 2 * math.pi))
         b = SpectralPoint(xi=xi, k=rng.uniform(0.05, 4.0), phi_az=rng.uniform(0, 2 * math.pi))
-        for pol in (TM, TE):
-            fwd = sphere_matrix_element(a, pol, b, pol, kind, R)
-            rev = sphere_matrix_element(b, pol, a, pol, kind, R)
-            lhs = b.kappa * fwd.mantissa * math.exp(fwd.log_scale - rev.log_scale)
-            assert lhs == pytest.approx(a.kappa * rev.mantissa, rel=1e-10)
-        fwd = sphere_matrix_element(a, TM, b, TE, kind, R)  # TE out <- TM in
-        rev = sphere_matrix_element(b, TE, a, TM, kind, R)  # TM out <- TE in
-        if abs(fwd.mantissa) > 1e-12:
-            lhs = b.kappa * fwd.mantissa * math.exp(fwd.log_scale - rev.log_scale)
-            assert lhs == pytest.approx(-a.kappa * rev.mantissa, rel=1e-9)
+        # sphere_element already carries the kappa_out of the element
+        fwd = element(a, b, kind, R)
+        rev = element(b, a, kind, R)
+        shift = math.exp(fwd.log_scale - rev.log_scale)
+        for channel in ("mm", "ee"):
+            lhs = getattr(fwd, channel) * shift
+            assert lhs == pytest.approx(getattr(rev, channel), rel=1e-10)
+        # <b,TE|R_S|a,TM> against <a,TM|R_S|b,TE>
+        if abs(fwd.em / b.kappa) > 1e-12:
+            assert fwd.em * shift == pytest.approx(-rev.me, rel=1e-9)
 
 
 def test_specular_element_reduces_to_amplitudes():
-    from planesphere.mie import amplitudes_exact
-
     xi, k, R = 1.1, 1.8, 2.5
     pt = SpectralPoint(xi=xi, k=k)
     z = -(pt.kappa**2 + k * k) / xi**2
-    pair = amplitudes_exact(xi, R, z)
+    mant_perp, mant_par, log_acc = ExactAmplitudes(xi, R)(np.array([z]))
     pref = 2.0 * math.pi / (xi * pt.kappa)
-    el_mm = sphere_matrix_element(pt, TM, pt, TM, KernelKind.EXACT_MIE, R)
-    el_ee = sphere_matrix_element(pt, TE, pt, TE, KernelKind.EXACT_MIE, R)
-    assert el_mm.log_abs() == pytest.approx(
-        math.log(pref) + pair.s_par.log_abs(), abs=1e-11
+    el = element(pt, pt, KernelKind.EXACT_MIE, R)
+    log_mm = math.log(abs(el.mm / pt.kappa)) + el.log_scale
+    log_ee = math.log(abs(el.ee / pt.kappa)) + el.log_scale
+    assert log_mm == pytest.approx(
+        math.log(pref) + math.log(abs(mant_par[0])) + log_acc[0], abs=1e-11
     )
-    assert el_ee.log_abs() == pytest.approx(
-        math.log(pref) + pair.s_perp.log_abs(), abs=1e-11
+    assert log_ee == pytest.approx(
+        math.log(pref) + math.log(abs(mant_perp[0])) + log_acc[0], abs=1e-11
     )
-    assert el_mm.sign == pair.s_par.sign
-    assert el_ee.sign == pair.s_perp.sign
+    assert np.sign(el.mm) == np.sign(mant_par[0])
+    assert np.sign(el.ee) == np.sign(mant_perp[0])
 
 
 def test_wkb_element_exponent():
-    # the log scale of the WKB element is 2 xi R sin(Theta/2)
+    # the log scale of the WKB element is 2 xi R sin(Theta/2), with
+    # cos(Theta) = -(kappa_a kappa_b + k_a.k_b)/xi^2
     a = SpectralPoint(xi=0.7, k=1.2, phi_az=0.3)
     b = SpectralPoint(xi=0.7, k=2.6, phi_az=1.4)
-    el = sphere_matrix_element(a, TM, b, TM, KernelKind.WKB0, 4.0)
-    from planesphere.core import sin_half_theta
-
+    el = element(a, b, KernelKind.WKB0, 4.0)
+    z = -(a.kappa * b.kappa + a.k * b.k * math.cos(b.phi_az - a.phi_az)) / 0.7**2
     assert el.log_scale == pytest.approx(
-        2.0 * 0.7 * 4.0 * sin_half_theta(a, b), rel=1e-14
+        2.0 * 0.7 * 4.0 * math.sqrt(0.5 * (1.0 - z)), rel=1e-14
     )
 
 
 def test_azimuth_origin_invariance():
     # shifting both azimuths by the same angle leaves every element unchanged
     shift = 1.234567
-    rng = np.random.default_rng(5)
     for kind in KernelKind:
         xi = 0.8
         k1, k2 = 1.3, 2.4
         p1, p2 = 0.4, 2.1
-        for pol_in in (TM, TE):
-            for pol_out in (TM, TE):
-                a0 = SpectralPoint(xi=xi, k=k1, phi_az=p1)
-                b0 = SpectralPoint(xi=xi, k=k2, phi_az=p2)
-                a1 = SpectralPoint(xi=xi, k=k1, phi_az=p1 + shift)
-                b1 = SpectralPoint(xi=xi, k=k2, phi_az=p2 + shift)
-                e0 = sphere_matrix_element(a0, pol_in, b0, pol_out, kind, 3.0)
-                e1 = sphere_matrix_element(a1, pol_in, b1, pol_out, kind, 3.0)
-                assert e1.mantissa * math.exp(e1.log_scale - e0.log_scale) == (
-                    pytest.approx(e0.mantissa, rel=1e-12, abs=1e-15)
-                )
+        a0 = SpectralPoint(xi=xi, k=k1, phi_az=p1)
+        b0 = SpectralPoint(xi=xi, k=k2, phi_az=p2)
+        a1 = SpectralPoint(xi=xi, k=k1, phi_az=p1 + shift)
+        b1 = SpectralPoint(xi=xi, k=k2, phi_az=p2 + shift)
+        e0 = element(a0, b0, kind, 3.0)
+        e1 = element(a1, b1, kind, 3.0)
+        for channel in CHANNELS:
+            got = getattr(e1, channel) / b1.kappa * math.exp(e1.log_scale - e0.log_scale)
+            assert got == pytest.approx(getattr(e0, channel) / b0.kappa, rel=1e-12, abs=1e-15)
 
 
 def test_symmetrized_element_is_finite_and_damped():
     # the huge WKB exponent must cancel: plain floats, no overflow
-    geometry = Geometry(R=500.0, L=1.0)
-    a = SpectralPoint(xi=0.5, k=0.9, phi_az=0.0)
-    b = SpectralPoint(xi=0.5, k=1.7, phi_az=2.0)
     for kind in (KernelKind.WKB0, KernelKind.WKB1):
-        val = symmetrized_round_trip_element(a, TM, b, TM, geometry, kind)
+        el = round_trip_element(0.5, 0.9, 1.7, 2.0, 500.0, kind)
+        val = float(el.mm * np.exp(el.log_scale))
         assert math.isfinite(val)
         assert abs(val) < 1.0
 
@@ -208,18 +204,19 @@ def test_symmetrized_element_is_finite_and_damped():
 def test_symmetrized_trace_pairs_match_raw_product():
     # similarity factors cancel in closed loops: sym(a->b) sym(b->a) equals
     # the raw damped product, independent of the kappa ratio convention
-    geometry = Geometry(R=2.0, L=1.0)
+    rho = 2.0
     a = SpectralPoint(xi=1.0, k=0.8, phi_az=0.2)
     b = SpectralPoint(xi=1.0, k=1.9, phi_az=1.1)
-    rho = geometry.aspect_ratio
+    dphi = b.phi_az - a.phi_az
     for kind in KernelKind:
-        sym = symmetrized_round_trip_element(a, TM, b, TM, geometry, kind) * (
-            symmetrized_round_trip_element(b, TM, a, TM, geometry, kind)
-        )
-        e_ab = sphere_matrix_element(a, TM, b, TM, kind, rho)
-        e_ba = sphere_matrix_element(b, TM, a, TM, kind, rho)
+        s_ab = round_trip_element(a.xi, a.k, b.k, dphi, rho, kind)
+        s_ba = round_trip_element(a.xi, b.k, a.k, -dphi, rho, kind)
+        sym = s_ab.mm * np.exp(s_ab.log_scale) * s_ba.mm * np.exp(s_ba.log_scale)
+        # raw elements <out|R_S|in>, without the plane's TM coefficient (+1)
+        e_ab = element(a, b, kind, rho)
+        e_ba = element(b, a, kind, rho)
         raw = (
-            e_ab.mantissa * e_ba.mantissa
+            e_ab.mm / b.kappa * e_ba.mm / a.kappa
             * math.exp(
                 e_ab.log_scale + e_ba.log_scale
                 - 2.0 * (a.kappa + b.kappa) * (1.0 + rho)

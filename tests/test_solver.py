@@ -1,13 +1,17 @@
 """Discretized round-trip operator: blocks, determinants, invariances."""
+import ctypes
+import glob
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from planesphere.core import Geometry, Polarization, SpectralPoint, cos_theta
-from planesphere.mie import amplitudes_wkb
-from planesphere.reflection import KernelKind, abcd_arrays, symmetrized_round_trip_element
+from planesphere.core import Geometry
+from planesphere.mie import wkb_diffraction_s
+from planesphere.reflection import KernelKind, _p_diff, abcd_arrays, round_trip_element
 from planesphere import solver
 from planesphere.solver import (
     NonContractiveKernelError,
@@ -21,8 +25,6 @@ from planesphere.solver import (
     log_det_contribution,
     trace_Mr_numeric,
 )
-
-TM, TE = Polarization.TM, Polarization.TE
 
 
 def small_config(**overrides) -> QuadratureConfig:
@@ -75,9 +77,10 @@ def test_blocks_match_direct_complex_construction(kind, rel, monkeypatch):
     """Assembled real blocks vs the straightforward complex construction.
 
     The direct path builds the per-m complex operator by discrete Fourier
-    transform of scalar symmetrized elements over the same azimuthal grid,
-    with no symmetry folding; traces of powers and det(1 - M) are basis
-    independent, so they must agree to near machine precision.
+    transform of the symmetrized elements (every channel, every pair, full
+    azimuthal grid) with no symmetry folding; traces of powers and
+    det(1 - M) are basis independent, so they must agree to near machine
+    precision.
     """
     geometry = Geometry(R=2.0, L=1.0)
     xi = 1.1
@@ -87,20 +90,16 @@ def test_blocks_match_direct_complex_construction(kind, rel, monkeypatch):
     k, wk = half_line_nodes_weights(n)
     lw = np.sqrt(k * wk / (2.0 * math.pi))
     delta = 2.0 * math.pi * np.arange(m_grid) / m_grid
-    pols = (TM, TE)
+    # kernel[d, p_out * n + i, p_in * n + j]: in = (k_j, phi 0), out =
+    # (k_i, phi delta_d), polarization index 0 = TM, 1 = TE
+    el = round_trip_element(xi, k[None, None, :], k[None, :, None], delta[:, None, None],
+                            geometry.aspect_ratio, kind)
+    weight = lw[:, None] * lw[None, :] * np.exp(el.log_scale)
     kernel = np.empty((m_grid, 2 * n, 2 * n))
-    for jd, d in enumerate(delta):
-        for i in range(n):
-            for j in range(n):
-                out_pt = SpectralPoint(xi=xi, k=float(k[i]), phi_az=float(d))
-                in_pt = SpectralPoint(xi=xi, k=float(k[j]), phi_az=0.0)
-                for pi_, p_out in enumerate(pols):
-                    for pj, p_in in enumerate(pols):
-                        kernel[jd, pi_ * n + i, pj * n + j] = (
-                            lw[i] * lw[j] * symmetrized_round_trip_element(
-                                in_pt, p_in, out_pt, p_out, geometry, kind
-                            )
-                        )
+    kernel[:, :n, :n] = weight * el.mm
+    kernel[:, :n, n:] = weight * el.me
+    kernel[:, n:, :n] = weight * el.em
+    kernel[:, n:, n:] = weight * el.ee
     phases = np.exp(-1j * np.arange(m_grid)[:, None] * np.arange(4)[None, :])
     blocks = build_blocks(xi, geometry, kind, cfg)
     assert [b.m for b in blocks] == [0, 1, 2, 3]
@@ -120,8 +119,8 @@ def test_blocks_match_direct_complex_construction(kind, rel, monkeypatch):
 
 
 def test_wkb1_resummation_approaches_linear_form(monkeypatch):
-    # the wkb1 kernel's e^{s/R} vs the linear (1 + s/R) of
-    # mie.amplitudes_wkb(order=1): the trace gap must shrink faster than 1/R
+    # the wkb1 kernel's e^{s/R} vs the linear (1 + s/R) with s_p from
+    # mie.wkb_diffraction_s: the trace gap must shrink faster than 1/R
     monkeypatch.setattr(solver, "PRUNE_LOG_CUTOFF", -1e9)
     xi = 1.1
     gaps = []
@@ -132,22 +131,21 @@ def test_wkb1_resummation_approaches_linear_form(monkeypatch):
         k, wk = half_line_nodes_weights(n)
         lw = np.sqrt(k * wk / (2.0 * math.pi))
         delta = 2.0 * math.pi * np.arange(m_grid) / m_grid
-        kernel = np.empty((m_grid, n, n))
-        for jd, d in enumerate(delta):
-            for i in range(n):
-                for j in range(n):
-                    out_pt = SpectralPoint(xi=xi, k=float(k[i]), phi_az=float(d))
-                    in_pt = SpectralPoint(xi=xi, k=float(k[j]), phi_az=0.0)
-                    pair = amplitudes_wkb(xi, rho, cos_theta(in_pt, out_pt), order=1)
-                    a, b, _, _ = abcd_arrays(xi, in_pt.k, out_pt.k,
-                                             in_pt.kappa, out_pt.kappa, float(d))
-                    # TM <- TM leg: plane coefficient +1, both translations
-                    # and the symmetrizing 1/sqrt(kappa_in kappa_out)
-                    damp = -(in_pt.kappa + out_pt.kappa) * (1.0 + rho)
-                    s_par = pair.s_par.mantissa * math.exp(pair.s_par.log_scale + damp)
-                    s_perp = pair.s_perp.mantissa * math.exp(pair.s_perp.log_scale + damp)
-                    pref = 2.0 * math.pi / (xi * math.sqrt(in_pt.kappa * out_pt.kappa))
-                    kernel[jd, i, j] = lw[i] * lw[j] * pref * (a * s_par + b * s_perp)
+        # in = (k_j, phi 0), out = (k_i, phi delta_d) on axes (d, i, j)
+        k_in, k_out, dphi = k[None, None, :], k[None, :, None], delta[:, None, None]
+        kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
+        p_diff = _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi)
+        s_perp, s_par = wkb_diffraction_s(xi, p_diff)
+        # S_p = -/+ (xi R/2) e^{2 xi R sin(Theta/2)} (1 + s_p/R)
+        exponent = 2.0 * rho * np.sqrt(0.5 * (2.0 * xi * xi + p_diff))
+        a, b, _, _ = abcd_arrays(xi, k_in, k_out, kap_in, kap_out, dphi)
+        # TM <- TM leg: plane coefficient +1, both translations and the
+        # symmetrizing 1/sqrt(kappa_in kappa_out)
+        damp = np.exp(exponent - (kap_in + kap_out) * (1.0 + rho))
+        amp = 0.5 * xi * rho * damp
+        pref = 2.0 * math.pi / (xi * np.sqrt(kap_in * kap_out))
+        kernel = (lw[:, None] * lw[None, :] * pref
+                  * (a * amp * (1.0 + s_par / rho) - b * amp * (1.0 + s_perp / rho)))
         t_linear = float(np.mean(kernel, axis=0).trace())
         block0 = build_blocks(xi, geometry, KernelKind.WKB1, cfg)[0]
         t_resummed = float(np.trace(block0.entries[:n, :n]))
@@ -164,7 +162,7 @@ def test_block_norms_match_assembled_blocks(kind):
     # the truncation rule reads block norms off the Fourier coefficients
     geometry = Geometry(R=5.0, L=1.0)
     cfg = small_config(n_radial=20)
-    ii, jj, cmm, cee, x_ij, x_ji, _, _ = _fourier_kernels(0.8, geometry, kind, cfg)
+    ii, jj, cmm, cee, x_ij, x_ji = _fourier_kernels(0.8, geometry, kind, cfg)
     norms = _block_norms(ii, jj, cmm, cee, x_ij, x_ji)
     assert norms.shape == (cfg.n_azimuthal // 2 + 1,)
     for m, norm in enumerate(norms):
@@ -283,6 +281,38 @@ def test_threads_do_not_change_result():
     serial = energy(geometry, KernelKind.WKB0, config=cfg, threads=1)
     parallel = energy(geometry, KernelKind.WKB0, config=cfg, threads=2)
     assert parallel.energy == pytest.approx(serial.energy, rel=1e-14)
+
+
+def _blas_threads():
+    """Thread count of numpy's bundled OpenBLAS, or None if it is not found."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas*.so")
+    for path in glob.glob(pattern):
+        try:
+            getter = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        return getter()
+    return None
+
+
+def test_pool_workers_run_blas_on_one_thread(monkeypatch):
+    if _blas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS getter not found")
+    probes = []
+
+    class ProbingPool(ProcessPoolExecutor):
+        """The pool energy() starts, asked once for a worker's BLAS threads."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            probes.append(self.submit(_blas_threads))
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", ProbingPool)
+    energy(Geometry(R=3.0, L=1.0), KernelKind.WKB0, config=small_config(n_xi=4), threads=2)
+    assert [probe.result() for probe in probes] == [1]
 
 
 def test_frozen_reference_energy_rho50():

@@ -11,12 +11,9 @@ from hypothesis import strategies as st
 from planesphere.special import (
     EULER_GAMMA,
     AngularRecurrence,
-    ScaledValue,
-    bessel_ik_half_scaled,
     exp_integral_e1,
     log_bessel_i_half,
     log_bessel_k_half,
-    pi_tau,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "special_values.csv"
@@ -40,40 +37,6 @@ def load_fixtures(function: str):
 
 
 # ---------------------------------------------------------------------------
-# ScaledValue arithmetic
-# ---------------------------------------------------------------------------
-
-def test_scaled_value_normalization():
-    sv = ScaledValue(1234.5).normalized()
-    assert 0.1 < abs(sv.mantissa) <= 1.0
-    assert sv.to_float() == pytest.approx(1234.5, rel=1e-15)
-    assert ScaledValue(0.0, 5.0).normalized() == ScaledValue(0.0, 0.0)
-
-
-@given(
-    st.floats(min_value=-1e6, max_value=1e6).filter(lambda v: abs(v) > 1e-6),
-    st.floats(min_value=-50.0, max_value=50.0),
-)
-def test_scaled_value_roundtrip(mantissa, log_scale):
-    sv = ScaledValue(mantissa, log_scale).normalized()
-    assert 0.1 < abs(sv.mantissa) <= 1.0
-    assert sv.log_abs() == pytest.approx(
-        math.log(abs(mantissa)) + log_scale, abs=1e-12
-    )
-
-
-@given(
-    st.floats(min_value=0.1, max_value=10.0),
-    st.floats(min_value=0.1, max_value=10.0),
-)
-def test_scaled_value_product(a, b):
-    pa = ScaledValue(a).normalized()
-    pb = ScaledValue(b, 2.0).normalized()
-    prod = pa * pb
-    assert prod.to_float() == pytest.approx(a * b * math.exp(2.0), rel=1e-13)
-
-
-# ---------------------------------------------------------------------------
 # Bessel functions against mpmath fixtures
 # ---------------------------------------------------------------------------
 
@@ -94,18 +57,14 @@ def test_bessel_k_against_fixtures():
 
 
 def test_wronskian_identity():
-    # I_nu(x) K'_nu(x) - I'_nu(x) K_nu(x) = -1/x, checked in scaled form
+    # I_nu K'_nu - I'_nu K_nu = -1/x with I'_nu = I_{nu+1} + (nu/x) I_nu and
+    # K'_nu = (nu/x) K_nu - K_{nu+1} reads I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x;
+    # both terms are positive and O(1/x), so the large scales cancel in log
     for ell, x in ((0, 0.5), (3, 2.0), (25, 10.0), (200, 170.0), (1000, 900.0)):
-        i_v, k_v, i_d, k_d = bessel_ik_half_scaled(ell, x)
-        term1 = i_v * k_d
-        term2 = i_d * k_v
-        # both terms are O(1/x); the shared scale cancels in the difference
-        lead = max(term1.log_scale, term2.log_scale)
-        diff = term1.mantissa * math.exp(term1.log_scale - lead) - (
-            term2.mantissa * math.exp(term2.log_scale - lead)
-        )
-        value = diff * math.exp(lead)
-        assert abs(value * x + 1.0) < 1e-10
+        log_i = log_bessel_i_half(ell + 1, x)
+        log_k = log_bessel_k_half(ell + 1, x)
+        value = math.exp(log_i[ell] + log_k[ell + 1]) + math.exp(log_i[ell + 1] + log_k[ell])
+        assert abs(value * x - 1.0) < 1e-10
 
 
 def test_bessel_invalid_arguments():
@@ -114,7 +73,9 @@ def test_bessel_invalid_arguments():
     with pytest.raises(ValueError):
         log_bessel_k_half(3, 0.0)
     with pytest.raises(ValueError):
-        bessel_ik_half_scaled(-1, 1.0)
+        log_bessel_i_half(-1, 1.0)
+    with pytest.raises(ValueError):
+        log_bessel_k_half(-1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,32 +116,36 @@ def test_e1_small_u_log_behavior():
 # angular functions
 # ---------------------------------------------------------------------------
 
+def recurrence_at(ell: int, z: float) -> AngularRecurrence:
+    """An AngularRecurrence over the single value z, advanced to order ell."""
+    rec = AngularRecurrence(np.array([z]))
+    for _ in range(ell - 1):
+        rec.advance()
+    return rec
+
+
 def test_pi_tau_against_fixtures():
     pi_rows = load_fixtures("pi_ell")
     tau_rows = load_fixtures("tau_ell")
     for (ell, z_str, mant, log_scale), (_, _, mant_t, log_t) in zip(pi_rows, tau_rows):
-        z = float(z_str)
-        pi_arr, tau_arr = pi_tau(ell, z)
-        got_pi = pi_arr[ell - 1]
-        got_tau = tau_arr[ell - 1]
-        assert got_pi.log_abs() == pytest.approx(
-            math.log(abs(mant)) + log_scale, abs=1e-11
-        )
-        assert got_pi.sign == math.copysign(1.0, mant)
-        assert got_tau.log_abs() == pytest.approx(
-            math.log(abs(mant_t)) + log_t, abs=1e-11
-        )
-        assert got_tau.sign == math.copysign(1.0, mant_t)
+        rec = recurrence_at(ell, float(z_str))
+        for held, want_mant, want_log in ((rec.pi, mant, log_scale), (rec.tau, mant_t, log_t)):
+            got = rec.log_offset[0] + math.log(abs(held[0]))
+            assert got == pytest.approx(math.log(abs(want_mant)) + want_log, abs=1e-11)
+            assert math.copysign(1.0, held[0]) == math.copysign(1.0, want_mant)
 
 
 def test_pi_tau_low_orders_closed_form():
     z = -2.5
-    pi_arr, tau_arr = pi_tau(3, z)
-    assert pi_arr[0].to_float() == pytest.approx(1.0)
-    assert tau_arr[0].to_float() == pytest.approx(z)
+    rec = recurrence_at(1, z)
+    assert rec.pi[0] * math.exp(rec.log_offset[0]) == pytest.approx(1.0)
+    assert rec.tau[0] * math.exp(rec.log_offset[0]) == pytest.approx(z)
     # pi_2 = 3z, tau_2 = 3(2z^2 - 1) = 6z^2 - 3
-    assert pi_arr[1].to_float() == pytest.approx(3.0 * z, rel=1e-14)
-    assert tau_arr[1].to_float() == pytest.approx(2.0 * z * 3.0 * z - 3.0 * 1.0, rel=1e-14)
+    rec.advance()
+    assert rec.pi[0] * math.exp(rec.log_offset[0]) == pytest.approx(3.0 * z, rel=1e-14)
+    assert rec.tau[0] * math.exp(rec.log_offset[0]) == pytest.approx(
+        2.0 * z * 3.0 * z - 3.0 * 1.0, rel=1e-14
+    )
 
 
 def test_angular_recurrence_matches_scalar_path():
@@ -220,14 +185,18 @@ def test_angular_recurrence_rejects_bad_branch():
     with pytest.raises(ValueError):
         AngularRecurrence(np.array([-0.5]))
     with pytest.raises(ValueError):
-        pi_tau(5, 0.0)
+        AngularRecurrence(np.array([-3.0, 0.0]))
 
 
 @settings(max_examples=25)
 @given(st.floats(min_value=-50.0, max_value=-1.0), st.integers(min_value=2, max_value=400))
 def test_pi_tau_growth_is_monotone(z, ell_max):
     # |pi_ell| grows like (|z| + sqrt(z^2-1))^ell for z < -1: log-convex tail
-    pi_arr, _ = pi_tau(ell_max, z)
-    logs = pi_arr.log_abs()
+    rec = AngularRecurrence(np.array([z]))
+    logs = np.empty(ell_max)
+    for ell in range(1, ell_max + 1):
+        if ell > 1:
+            rec.advance()
+        logs[ell - 1] = rec.log_offset[0] + math.log(abs(rec.pi[0]))
     if z < -1.0 and ell_max >= 10:
         assert logs[-1] >= logs[ell_max // 2]
