@@ -28,12 +28,7 @@ from .asymptotics import (
 from .core import Geometry, Polarization
 from .mie import TruncationError
 from .reflection import KernelKind
-from .solver import (
-    NonContractiveKernelError,
-    QuadratureConfig,
-    default_threads,
-    energy,
-)
+from .solver import NonContractiveKernelError, QuadratureConfig, energy
 
 HBAR_C_JOULE_METER = 1.054571817e-34 * 2.99792458e8
 
@@ -193,13 +188,6 @@ def _quadrature(args, geometry: Geometry) -> QuadratureConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _threads(args) -> int:
-    threads = default_threads() if args.threads is None else args.threads
-    if threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {threads}")
-    return threads
-
-
 def _common(report: dict, args, geometry: Geometry | None) -> dict:
     header = {"command": args.command, "energy_unit": "hbar*c/L"}
     if geometry is not None:
@@ -207,7 +195,8 @@ def _common(report: dict, args, geometry: Geometry | None) -> dict:
         header["L"] = geometry.L
         header["aspect_ratio"] = geometry.aspect_ratio
     merged = {**header, **report}
-    if geometry is not None and args.length_unit_m and "energy_hbar_c_over_L" in merged:
+    if (geometry is not None and args.length_unit_m is not None
+            and "energy_hbar_c_over_L" in merged):
         scale = HBAR_C_JOULE_METER / (geometry.L * args.length_unit_m)
         merged["energy_joule"] = merged["energy_hbar_c_over_L"] * scale
     return merged
@@ -221,10 +210,9 @@ def _cmd_energy(args) -> dict:
     geometry = _geometry(args)
     config = _quadrature(args, geometry)
     kind = KernelKind(args.kernel)
-    threads = _threads(args)
-    report = energy(geometry, kind, config=config, threads=threads)
+    report = energy(geometry, kind, config=config, threads=args.threads)
     out = report.to_dict()
-    out["threads"] = threads
+    out["threads"] = args.threads
     return _common(out, args, geometry)
 
 
@@ -268,12 +256,11 @@ def _cmd_beta_fit(args) -> dict:
     if len(ratios) < (2 if args.model == "linear" else 3):
         raise UsageError("need at least 2 (linear) or 3 (quadratic) ratios")
     kind = KernelKind(args.kernel)
-    threads = _threads(args)
     samples = []
     for rho in ratios:
         geometry = Geometry(R=rho, L=1.0)
         config = _quadrature(args, geometry)
-        rep = energy(geometry, kind, config=config, threads=threads)
+        rep = energy(geometry, kind, config=config, threads=args.threads)
         samples.append({
             "aspect_ratio": rho,
             "energy_hbar_c_over_L": rep.energy,
@@ -378,6 +365,26 @@ def _cmd_verify(args) -> dict:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _finite_positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 # every flag is declared once; each command lists only the flags it reads
 _FLAGS = {
     "--R": dict(type=float, help="sphere radius"),
@@ -387,10 +394,12 @@ _FLAGS = {
     "--n-azimuthal": dict(type=int, default=None),
     "--n-xi": dict(type=int, default=None),
     "--m-max": dict(type=int, default=None),
-    "--threads": dict(type=int, default=None,
-                      help="worker processes (default: PLANESPHERE_THREADS or 1)"),
-    "--length-unit-m": dict(type=float, default=None,
-                            help="meters per input length unit, adds energy_joule"),
+    "--threads": dict(type=_at_least_one, default=1,
+                      help="worker processes over the frequency nodes (default 1); "
+                           "BLAS runs on one thread in each"),
+    "--length-unit-m": dict(type=_finite_positive, default=None,
+                            help="meters per input length unit (finite, > 0), "
+                                 "adds energy_joule"),
     "--format": dict(choices=["json", "csv"], default="json"),
     "--out": dict(type=str, default=None),
     "--plot": dict(action="store_true",
@@ -398,7 +407,7 @@ _FLAGS = {
     "--ratios": dict(type=str, default=None, help="comma-separated R/L values"),
     "--model": dict(choices=["linear", "quadratic"], default="quadratic"),
     "--u": dict(type=str, default=None, help="comma-separated u = 2 xi L r values"),
-    "--r-max": dict(type=int, default=5),
+    "--r-max": dict(type=_at_least_one, default=5, help="largest round-trip count r"),
 }
 _SOLVER = ("--kernel", "--n-radial", "--n-azimuthal", "--n-xi", "--m-max", "--threads")
 _OUTPUT = ("--format", "--out")

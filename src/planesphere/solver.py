@@ -23,6 +23,15 @@ in=b -> out=a, and equally of minus the TE <- TM channel for in=a -> out=b.
 Determinants and traces are invariant under these similarities, which the
 test suite checks against a direct complex construction.
 
+Closed-form log-det.  Most blocks of high m are tiny.  For symmetric M with
+Frobenius norm f < 1, 1 - M is positive definite, tr M^2 = f^2, and the
+Mercator tail obeys |sum_{r>=3} tr M^r / r| <= sum_{r>=3} ||M||_2^{r-2} f^2 / r
+<= f^3 / (3 (1 - f)).  A block m >= 1 whose weighted tail bound
+w_m f^3 / (3 (1 - f)) is at most CLOSED_FORM_TAIL |ln det(1 - M_0)| therefore
+adds w_m (-tr M_m - f^2/2), read off the Fourier coefficients, and is
+neither assembled nor factored; every other block goes through a Cholesky
+factorization.
+
 All exponentially large and small factors combine in log space before
 exponentiation: the WKB growth 2 xi R sin(Theta/2) never exceeds the
 translation damping, so every assembled entry is a plain float.
@@ -30,10 +39,12 @@ translation damping, so every assembled entry is a plain float.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -57,6 +68,14 @@ def _is_power_of_two(n: int) -> bool:
 # kernel entries is below this (e^-46 ~ 1e-20)
 PRUNE_LOG_CUTOFF = -46.0
 
+# azimuthal truncation: the sum stops before the first m >= 1 whose block
+# Frobenius norm is below this share of the m=0 block's
+NORM_CUTOFF = 1e-10
+
+# closed-form log-det: a block m >= 1 is summed as -tr M - f^2/2 when its
+# weighted Mercator tail bound is at most this share of |ln det(1 - M_0)|
+CLOSED_FORM_TAIL = 1e-15
+
 
 def half_line_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes t in (0,1) mapped to (0, inf) by x = t/(1-t)."""
@@ -74,6 +93,11 @@ class QuadratureConfig:
     block Frobenius norm is below 1e-10 of the m=0 block's, or else runs it
     to the Nyquist order n_azimuthal/2.  The norms of all blocks come from
     the Fourier coefficients in one pass, before any block is assembled.
+
+    Within the sum, a block m >= 1 with norm f < 1 and weighted tail bound
+    w_m f^3 / (3 (1 - f)) <= 1e-15 |ln det(1 - M_0)| contributes the
+    second-order Mercator value w_m (-tr M_m - f^2/2) in closed form; the
+    others are assembled and factored (see the module docstring).
     """
 
     n_radial: int
@@ -234,18 +258,40 @@ def _block_norms(ii, jj, cmm, cee, x_ij, x_ji) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def _last_m(norms: np.ndarray, config: QuadratureConfig) -> int:
+    """Last azimuthal order of the sum: m_max, or the norm cutoff, or Nyquist."""
+    if config.m_max is not None:
+        return config.m_max
+    norm0 = norms[0] if norms[0] > 0.0 else 1.0
+    small = np.flatnonzero(norms[1:] < NORM_CUTOFF * norm0)
+    return int(small[0]) if small.size else config.n_azimuthal // 2
+
+
+def _closed_form_log_dets(ii, jj, cmm, cee, norms, weights, log_det0):
+    """Second-order Mercator ln det(1 - M_m) = -tr M_m - f_m^2/2 for every m.
+
+    Returns the values and the mask of the blocks m >= 1 for which they are
+    exact to CLOSED_FORM_TAIL |log_det0|: f_m < 1 and the weighted tail
+    bound weights_m f_m^3 / (3 (1 - f_m)) within that share.  The traces
+    sum the diagonal pairs of the MM and EE sectors.
+    """
+    diag = ii == jj
+    trace = cmm[diag].sum(axis=0) + cee[diag].sum(axis=0)
+    values = -trace - 0.5 * norms * norms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = weights * norms ** 3 / (3.0 * (1.0 - norms))
+    exact = (norms < 1.0) & (tail <= CLOSED_FORM_TAIL * abs(log_det0))
+    exact[0] = False
+    return values, exact
+
+
 def _iter_blocks(xi: float, geometry: Geometry, kind: KernelKind,
                  config: QuadratureConfig) -> Iterator[BlockMatrix]:
     """Yield blocks for m = 0, 1, ... up to m_max or the norm cutoff."""
     ii, jj, cmm, cee, x_ij, x_ji = _fourier_kernels(xi, geometry, kind, config)
     if ii.size == 0:
         return
-    m_cap = config.m_max
-    if m_cap is None:
-        norms = _block_norms(ii, jj, cmm, cee, x_ij, x_ji)
-        norm0 = norms[0] if norms[0] > 0.0 else 1.0
-        small = np.flatnonzero(norms[1:] < 1e-10 * norm0)
-        m_cap = int(small[0]) if small.size else config.n_azimuthal // 2
+    m_cap = _last_m(_block_norms(ii, jj, cmm, cee, x_ij, x_ji), config)
     n = config.n_radial
     for m in range(m_cap + 1):
         block = _assemble_block(n, m, ii, jj, cmm, cee, x_ij, x_ji)
@@ -276,38 +322,88 @@ def log_det_contribution(block: BlockMatrix) -> float:
     return 2.0 * float(np.sum(np.log(chol.diagonal())))
 
 
-def _xi_contribution(args) -> tuple[float, int]:
-    """Sum_m (2 - delta_m0) ln det(1 - M_m) at one xi node; returns (sum, m_used)."""
-    xi, geometry, kind, config = args
+def _azimuthal_weights(config: QuadratureConfig) -> np.ndarray:
+    """Degeneracy weights (2 - delta_m0), with 1 at the Nyquist order."""
     mh = config.n_azimuthal // 2
-    total = 0.0
-    m_used = -1
-    for block in _iter_blocks(xi, geometry, kind, config):
-        weight = 1.0 if block.m in (0, mh) else 2.0
-        total += weight * log_det_contribution(block)
-        m_used = block.m
-    return total, m_used
+    weights = np.full(mh + 1, 2.0)
+    weights[[0, mh]] = 1.0
+    return weights
+
+
+def _xi_contribution(args) -> tuple[float, int]:
+    """Sum_m (2 - delta_m0) ln det(1 - M_m) at one xi node; returns (sum, m_used).
+
+    Blocks admitted by _closed_form_log_dets are summed in closed form; the
+    others are assembled and factored.
+    """
+    xi, geometry, kind, config = args
+    ii, jj, cmm, cee, x_ij, x_ji = _fourier_kernels(xi, geometry, kind, config)
+    if ii.size == 0:
+        return 0.0, -1
+    norms = _block_norms(ii, jj, cmm, cee, x_ij, x_ji)
+    m_last = _last_m(norms, config)
+    weights = _azimuthal_weights(config)
+    n = config.n_radial
+
+    def factored(m: int) -> float:
+        block = _assemble_block(n, m, ii, jj, cmm, cee, x_ij, x_ji)
+        return log_det_contribution(BlockMatrix(m=m, xi=xi, entries=block))
+
+    log_det0 = factored(0)
+    closed, exact = _closed_form_log_dets(ii, jj, cmm, cee, norms, weights, log_det0)
+    total = weights[0] * log_det0
+    for m in range(1, m_last + 1):
+        total += weights[m] * (closed[m] if exact[m] else factored(m))
+    return float(total), m_last
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (numpy.libs) via ctypes, or None if not found."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas*.so")
+    for path in glob.glob(pattern):
+        try:
+            lib = ctypes.CDLL(path)
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        except (OSError, AttributeError):
+            continue
+        return lib
+    return None
 
 
 def _single_blas_thread() -> None:
     """Pool-worker initializer: run numpy's bundled OpenBLAS on one thread.
 
     Every worker already occupies a core, so OpenBLAS threads of its own
-    would oversubscribe them.  Calls the runtime setter of the OpenBLAS
-    shipped in numpy.libs; does nothing if that library or its setter is
+    would oversubscribe them.  Does nothing if the library or its setter is
     not found.
     """
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                           "libscipy_openblas*.so")
-    for path in glob.glob(pattern):
-        try:
-            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread, then restore its count.
+
+    A serial solve factors blocks of at most a few hundred rows, where one
+    thread is not slower and leaves the other cores to other processes.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
         return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def energy(geometry: Geometry, kind: KernelKind,
@@ -318,7 +414,8 @@ def energy(geometry: Geometry, kind: KernelKind,
     the radial integral; each node is independent, so
     threads > 1 distributes nodes over a process pool whose workers run
     BLAS on one thread each (results are summed in fixed node order
-    regardless of scheduling).
+    regardless of scheduling).  A serial solve also runs BLAS on one
+    thread, restoring the previous count when it returns or raises.
     """
     if config is None:
         config = QuadratureConfig.auto(geometry)
@@ -328,7 +425,8 @@ def energy(geometry: Geometry, kind: KernelKind,
         with ProcessPoolExecutor(max_workers=threads, initializer=_single_blas_thread) as pool:
             results = list(pool.map(_xi_contribution, jobs))
     else:
-        results = [_xi_contribution(job) for job in jobs]
+        with _one_blas_thread():
+            results = [_xi_contribution(job) for job in jobs]
     g_values = np.array([res[0] for res in results])
     m_used = max((res[1] for res in results), default=-1)
     total = float(np.dot(xi_weights, g_values)) / (2.0 * math.pi)
@@ -359,11 +457,3 @@ def trace_Mr_numeric(r: int, xi: float, geometry: Geometry, kind: KernelKind,
         total += weight * float(np.trace(power))
     return total
 
-
-def default_threads() -> int:
-    """Thread-count default: PLANESPHERE_THREADS if set, else 1."""
-    value = os.environ.get("PLANESPHERE_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1

@@ -219,10 +219,17 @@ def test_flags_a_command_does_not_read_exit_2(argv, capsys):
      "--threads", "0"],
     ["energy", "--R", "5", "--L", "1", "--kernel", "wkb0", "--plot"],
     ["pfa", "--R", "5", "--L", "1", "--plot"],
+    ["energy", "--R", "5", "--L", "1", "--length-unit-m", "-1"],
+    ["energy", "--R", "5", "--L", "1", "--length-unit-m", "nan"],
+    ["pfa", "--R", "5", "--L", "1", "--length-unit-m", "0"],
+    ["pfa", "--R", "5", "--L", "1", "--length-unit-m", "inf"],
+    ["trace-terms", "--u", "1.0", "--r-max", "0"],
+    ["energy", "--R", "5", "--L", "1", "--threads", "abc"],
 ])
 def test_invalid_values_exit_2_with_empty_stdout(argv, capsys):
     # zero sizes and thread counts are rejected, not replaced by the
-    # automatic values; --plot without --out fails before any report
+    # automatic values; a length unit must be finite and positive and
+    # r_max at least 1; --plot without --out fails before any report
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

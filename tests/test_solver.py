@@ -17,7 +17,9 @@ from planesphere.solver import (
     NonContractiveKernelError,
     QuadratureConfig,
     _assemble_block,
+    _azimuthal_weights,
     _block_norms,
+    _closed_form_log_dets,
     _fourier_kernels,
     build_blocks,
     energy,
@@ -223,6 +225,63 @@ def test_mercator_partial_sums_bracket_logdet():
             assert abs(total - partial) <= bound * (1.0 + 1e-10) + 1e-14
 
 
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_closed_form_log_det_within_mercator_tail(kind):
+    # every block the rule admits lies within f^3/(3(1-f)) of the
+    # eigenvalue log-det sum_i log1p(-lambda_i)
+    geometry = Geometry(R=5.0, L=1.0)
+    cfg = small_config(n_radial=20)
+    xi = 0.8
+    coeffs = _fourier_kernels(xi, geometry, kind, cfg)
+    ii, jj, cmm, cee, _, _ = coeffs
+    norms = _block_norms(*coeffs)
+    log_det0 = log_det_contribution(solver.BlockMatrix(
+        m=0, xi=xi, entries=_assemble_block(cfg.n_radial, 0, *coeffs)))
+    closed, exact = _closed_form_log_dets(
+        ii, jj, cmm, cee, norms, _azimuthal_weights(cfg), log_det0)
+    assert 0 < exact.sum() < exact.size
+    for m in np.flatnonzero(exact):
+        block = _assemble_block(cfg.n_radial, m, *coeffs)
+        reference = math.fsum(np.log1p(-np.linalg.eigvalsh(block)))
+        f = norms[m]
+        assert abs(closed[m] - reference) <= f**3 / (3.0 * (1.0 - f)) + 1e-15
+
+
+def test_closed_form_admits_only_small_blocks_past_m0():
+    # m = 0 and any block with f >= 1 (where the tail bound fails) are
+    # always factored
+    pair = np.array([0])
+    coeff = np.zeros((1, 5))
+    norms = np.array([1e-9, 2.0, 1.0, 1e-9, 1e-3])
+    _, exact = _closed_form_log_dets(pair, pair, coeff, coeff, norms,
+                                     np.array([1.0, 2.0, 2.0, 2.0, 1.0]), -1.0)
+    assert exact.tolist() == [False, False, False, True, False]
+
+
+def _eigen_reference_energy(geometry, kind):
+    """Energy from sum_i log1p(-lambda_i) of every block, summed by fsum."""
+    config = QuadratureConfig.auto(geometry)
+    mh = config.n_azimuthal // 2
+    xi_nodes, xi_weights = half_line_nodes_weights(config.n_xi)
+    terms = []
+    for xi, w_xi in zip(xi_nodes, xi_weights):
+        for block in build_blocks(float(xi), geometry, kind, config):
+            weight = 1.0 if block.m in (0, mh) else 2.0
+            log_det = np.log1p(-np.linalg.eigvalsh(block.entries))
+            terms.extend(w_xi * weight * log_det)
+    return math.fsum(terms) / (2.0 * math.pi)
+
+
+def test_closed_form_energy_matches_cholesky_and_eigen_reference(monkeypatch):
+    geometry = Geometry(R=50.0, L=1.0)
+    closed = energy(geometry, KernelKind.WKB1).energy
+    monkeypatch.setattr(solver, "CLOSED_FORM_TAIL", 0.0)
+    cholesky = energy(geometry, KernelKind.WKB1).energy
+    reference = _eigen_reference_energy(geometry, KernelKind.WKB1)
+    assert closed == pytest.approx(cholesky, rel=1e-12)
+    assert abs(closed - reference) <= abs(cholesky - reference)
+
+
 def test_log_det_contribution_matches_slogdet():
     geometry = Geometry(R=4.0, L=1.0)
     cfg = small_config(n_radial=20, m_max=5)
@@ -313,6 +372,31 @@ def test_pool_workers_run_blas_on_one_thread(monkeypatch):
     monkeypatch.setattr(solver, "ProcessPoolExecutor", ProbingPool)
     energy(Geometry(R=3.0, L=1.0), KernelKind.WKB0, config=small_config(n_xi=4), threads=2)
     assert [probe.result() for probe in probes] == [1]
+
+
+def test_serial_solve_runs_blas_on_one_thread(monkeypatch):
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("numpy's bundled OpenBLAS getter not found")
+    seen = []
+
+    def probing(block):
+        seen.append(_blas_threads())
+        return log_det_contribution(block)
+
+    monkeypatch.setattr(solver, "log_det_contribution", probing)
+    cfg = small_config(n_xi=4)
+    energy(Geometry(R=3.0, L=1.0), KernelKind.WKB0, config=cfg)
+    assert seen and set(seen) == {1}
+    assert _blas_threads() == before
+
+    def failing(block):
+        raise NonContractiveKernelError("probe")
+
+    monkeypatch.setattr(solver, "log_det_contribution", failing)
+    with pytest.raises(NonContractiveKernelError):
+        energy(Geometry(R=3.0, L=1.0), KernelKind.WKB0, config=cfg)
+    assert _blas_threads() == before
 
 
 def test_frozen_reference_energy_rho50():
