@@ -16,11 +16,13 @@ the beta coefficients of E = E_PFA (1 + beta1 L/R); these are stored here
 exactly as pairs (rational, rational/pi^2) so that the identities
 beta1 = beta_d + beta_go = beta_TE + beta_TM hold in exact arithmetic.
 
-The module also exposes the raw saddle quantities (eta, f, g, the circulant
-Hessian spectrum, the appendix D1/D2/D3/F1 closed forms and the function
-a(s)) and numeric quadrature paths over kappa_sp, so that every closed form
-is testable against an independent evaluation rather than merely
-transcribed.
+The module also exposes the raw saddle quantities (the round-trip weight g,
+the circulant Hessian spectrum, the appendix D1/D2/D3/F1 closed forms and
+the function a(s)) and numeric quadrature paths over kappa_sp, so that every
+closed form is testable against an independent evaluation rather than merely
+transcribed.  The round-trip phase f and its one-leg terms eta live with the
+finite-difference oracles (oracles.f_phase), which evaluate them at complex
+wave vectors.
 """
 from __future__ import annotations
 
@@ -114,48 +116,27 @@ def beta_bundle() -> BetaBundle:
     )
 
 
-def energy_asymptotic(geometry: Geometry, order: str = "ntlo") -> float:
-    """E_PFA (order='pfa') or E_PFA (1 + beta1 L/R) (order='ntlo'), hbar c/L."""
-    base = e_pfa(geometry)
-    if order == "pfa":
-        return base
-    if order == "ntlo":
-        return base * (1.0 + _beta_float("beta1") / geometry.aspect_ratio)
-    raise ValueError(f"unknown asymptotic order {order!r}")
+def energy_asymptotic(geometry: Geometry) -> float:
+    """NTLO energy E_PFA (1 + beta1 L/R) in units of hbar c / L."""
+    return e_pfa(geometry) * (1.0 + _beta_float("beta1") / geometry.aspect_ratio)
 
 
 # ---------------------------------------------------------------------------
-# saddle-point machinery: eta, f, g, Hessian spectrum
+# saddle-point machinery: g, Hessian spectrum
 # ---------------------------------------------------------------------------
 
-def eta(pt_a: SpectralPoint, pt_b: SpectralPoint) -> float:
-    """One-leg phase eta = kappa_a + kappa_b - sqrt(2(xi^2 + kappa_a kappa_b + k_a.k_b))."""
-    if pt_a.xi != pt_b.xi:
-        raise ValueError("eta requires equal xi")
-    dot = pt_a.k * pt_b.k * math.cos(pt_b.phi_az - pt_a.phi_az)
-    return pt_a.kappa + pt_b.kappa - math.sqrt(
-        2.0 * (pt_a.xi**2 + pt_a.kappa * pt_b.kappa + dot)
-    )
-
-
-def f_function(points: Sequence[SpectralPoint]) -> float:
-    """Cyclic sum of eta over the r-round-trip chain; vanishes on the saddle."""
-    r = len(points)
-    return sum(eta(points[j], points[(j + 1) % r]) for j in range(r))
-
-
-def g_function(points: Sequence[SpectralPoint], geometry: Geometry) -> float:
-    """Round-trip weight g, summed over all polarization chains.
+def g_function(points: Sequence[SpectralPoint]) -> float:
+    """Round-trip weight g, summed over all polarization chains (gap units).
 
     Leg j carries the 2x2 transfer matrix
-        T_j[p_out][p_in] = rho_j[p_out][p_in] (-1)^{p_in} e^{-2 kappa_j L} / kappa_j,
+        T_j[p_out][p_in] = rho_j[p_out][p_in] (-1)^{p_in} e^{-2 kappa_j} / kappa_j,
     with rho the polarization factor of the leading (wkb0) sphere element
     (pi R / kappa_out) e^{2 xi R sin(Theta/2)} rho_{p_out, p_in} and (-1)^p
     the plane's Fresnel coefficient (p=1 TE, p=2 TM); the sum over the 2^r
-    chains is tr(T_{r-1} ... T_0).  Intended for the derivative oracles.
+    chains is tr(T_{r-1} ... T_0).  rho does not depend on R, so the
+    element is evaluated at R = 1.  Intended for the derivative oracles.
     """
     r = len(points)
-    L = geometry.L
     # indices [p_out][p_in] with 0=TM, 1=TE
     fresnel = np.array([plane_reflection(Polarization.TM), plane_reflection(Polarization.TE)])
     chain = np.eye(2)
@@ -164,7 +145,7 @@ def g_function(points: Sequence[SpectralPoint], geometry: Geometry) -> float:
         el = sphere_element(a_pt.xi, a_pt.k, b_pt.k, b_pt.phi_az - a_pt.phi_az,
                             1.0, KernelKind.WKB0)
         rho = np.array([[el.mm, el.me], [el.em, el.ee]], dtype=float) / math.pi
-        weight = math.exp(-2.0 * a_pt.kappa * L) / a_pt.kappa
+        weight = math.exp(-2.0 * a_pt.kappa) / a_pt.kappa
         chain = (rho * fresnel * weight) @ chain
     return float(np.trace(chain))
 
@@ -185,14 +166,12 @@ def a_function(s: float, r: int, kappa_sp: float) -> float:
     return kappa_sp / (6.0 * r) * (r * r - 6.0 * s * r + 6.0 * s * s - 1.0)
 
 
-def g_saddle(r: int, xi: float, kappa_sp: float, L: float = 1.0,
-             pol: Polarization | None = None) -> float:
-    """g on the saddle manifold at leading order: e^{-2 kappa L r}/kappa^r.
+def g_saddle(r: int, xi: float, kappa_sp: float) -> float:
+    """g on the saddle manifold at leading order: 2 e^{-2 kappa r}/kappa^r.
 
-    With pol=None the two polarizations, which coincide here, are summed.
+    The two polarizations, which coincide here, are summed.
     """
-    base = math.exp(-2.0 * kappa_sp * L * r) / kappa_sp**r
-    return 2.0 * base if pol is None else base
+    return 2.0 * (math.exp(-2.0 * kappa_sp * r) / kappa_sp**r)
 
 
 @dataclass(frozen=True)
@@ -203,8 +182,8 @@ class AppendixD:
     f1_over_g: float
 
 
-def appendix_D(r: int, xi: float, kappa_sp: float, L: float = 1.0) -> AppendixD:
-    """Closed forms of the appendix: D1, D2 and D3, F1 divided by g|sp.
+def appendix_D(r: int, xi: float, kappa_sp: float) -> AppendixD:
+    """Closed forms of the appendix (gap units): D1, D2 and D3, F1 divided by g|sp.
 
     Satisfies F1 = g (D1/12 - D2/8) + D3/2 identically.
     """
@@ -214,8 +193,8 @@ def appendix_D(r: int, xi: float, kappa_sp: float, L: float = 1.0) -> AppendixD:
     x2 = xi**2
     d1 = (r - 2.0) * (r - 1.0) ** 2 * (k2 - x2) / (r * k3)
     d2 = 2.0 * (r - 1.0) ** 2 * ((r - 2.0) * k2 - 3.0 * r * x2) / (3.0 * r * k3)
-    d3 = -(r * r - 1.0) * (x2 + L * kappa_sp * (k2 + x2)) / (3.0 * k3)
-    f1 = -(r * r - 1.0) * (r * L * kappa_sp * (k2 + x2) + x2) / (6.0 * r * k3)
+    d3 = -(r * r - 1.0) * (x2 + kappa_sp * (k2 + x2)) / (3.0 * k3)
+    f1 = -(r * r - 1.0) * (r * kappa_sp * (k2 + x2) + x2) / (6.0 * r * k3)
     return AppendixD(d1, d2, d3, f1)
 
 
@@ -251,17 +230,17 @@ def trace_Mr_ntlo(r: int, u: float) -> float:
 # numeric quadrature and series machinery for the reconstruction tests
 # ---------------------------------------------------------------------------
 
-def integrate_0_inf(f: Callable[[np.ndarray], np.ndarray], rel_tol: float = 1e-11,
-                    max_level: int = 12) -> float:
+def integrate_0_inf(f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Exp-sinh quadrature of integral_0^inf f(u) du.
 
     Substitution u = exp((pi/2) sinh t) with trapezoid steps halved until
-    the result is stable; handles both the logarithmic endpoint behavior of
-    E1 and the e^{-u} decay double-exponentially.
+    two successive results agree to 1e-11 relative (at most 2^12 steps);
+    handles both the logarithmic endpoint behavior of E1 and the e^{-u}
+    decay double-exponentially.
     """
     t_span = 4.2
     result_prev = None
-    for level in range(3, max_level + 1):
+    for level in range(3, 13):
         n = 2**level
         t = np.linspace(-t_span, t_span, n + 1)
         h = t[1] - t[0]
@@ -269,7 +248,7 @@ def integrate_0_inf(f: Callable[[np.ndarray], np.ndarray], rel_tol: float = 1e-1
         w = 0.5 * math.pi * np.cosh(t) * u * h
         vals = f(u)
         result = float(np.sum(vals * w))
-        if result_prev is not None and abs(result - result_prev) <= rel_tol * max(
+        if result_prev is not None and abs(result - result_prev) <= 1e-11 * max(
             abs(result), 1e-300
         ):
             return result
@@ -277,10 +256,9 @@ def integrate_0_inf(f: Callable[[np.ndarray], np.ndarray], rel_tol: float = 1e-1
     return result
 
 
-def integrate_kappa(f: Callable[[np.ndarray], np.ndarray], xi: float,
-                    rel_tol: float = 1e-11) -> float:
+def integrate_kappa(f: Callable[[np.ndarray], np.ndarray], xi: float) -> float:
     """integral_{xi}^inf f(kappa) dkappa via the same exp-sinh map."""
-    return integrate_0_inf(lambda v: f(v + xi), rel_tol=rel_tol)
+    return integrate_0_inf(lambda v: f(v + xi))
 
 
 def sum_series_with_tail(term: Callable[[int], float], r_max: int = 10000) -> float:
@@ -340,26 +318,25 @@ def trace_Mr_saddle_numeric(r: int, xi: float, geometry: Geometry, term: str,
                             pol: Polarization = Polarization.TE) -> float:
     """Numeric kappa_sp-integral form of the saddle traces.
 
-    term='leading' evaluates (R/2r) * integral dkappa e^{-2 kappa L r}
+    term='leading' evaluates (R/2r) * integral dkappa e^{-2 kappa r}
     (1 + r s_p(kappa)/R) [the full order-1 g|sp]; term='ntlo' evaluates
-    (1/2r) * integral dkappa e^{-2 kappa L r} (F1/g)(kappa), the pure 1/R
+    (1/2r) * integral dkappa e^{-2 kappa r} (F1/g)(kappa), the pure 1/R
     trace correction (per polarization).  Both use adaptive quadrature on
     kappa in [xi, inf) so the closed forms are testable.
     """
-    L = 1.0
     rho = geometry.aspect_ratio
     if term == "leading":
         def integrand(kap: np.ndarray) -> np.ndarray:
             s_te = (0.5 * xi**2 - kap**2) / kap**3
             s_tm = -0.5 * xi**2 / kap**3
             s_p = s_te if pol is Polarization.TE else s_tm
-            return np.exp(-2.0 * kap * L * r) * (rho + r * s_p)
+            return np.exp(-2.0 * kap * r) * (rho + r * s_p)
         return integrate_kappa(integrand, xi) / (2.0 * r)
     if term == "ntlo":
         def integrand(kap: np.ndarray) -> np.ndarray:
             f1_over_g = -(r * r - 1.0) * (
-                r * L * kap * (kap**2 + xi**2) + xi**2
+                r * kap * (kap**2 + xi**2) + xi**2
             ) / (6.0 * r * kap**3)
-            return np.exp(-2.0 * kap * L * r) * f1_over_g
+            return np.exp(-2.0 * kap * r) * f1_over_g
         return integrate_kappa(integrand, xi) / (2.0 * r)
     raise ValueError(f"unknown term {term!r}")

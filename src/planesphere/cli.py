@@ -112,7 +112,7 @@ def _write_report(report, args, plt) -> None:
         payload = emit_json(report if isinstance(report, dict) else {"reports": report})
     else:
         reports = report if isinstance(report, list) else [report]
-        payload = emit_csv([_flatten(r) for r in reports])
+        payload = emit_csv(reports)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
@@ -182,7 +182,6 @@ def _quadrature(args, geometry: Geometry) -> QuadratureConfig:
             n_radial=base.n_radial if args.n_radial is None else args.n_radial,
             n_azimuthal=base.n_azimuthal if args.n_azimuthal is None else args.n_azimuthal,
             n_xi=base.n_xi if args.n_xi is None else args.n_xi,
-            m_max=args.m_max,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -221,7 +220,7 @@ def _cmd_pfa(args) -> dict:
     report = {
         "energy_hbar_c_over_L": e_pfa(geometry),
         "ratio_to_pfa": 1.0,
-        "energy_ntlo_hbar_c_over_L": energy_asymptotic(geometry, order="ntlo"),
+        "energy_ntlo_hbar_c_over_L": energy_asymptotic(geometry),
     }
     return _common(report, args, geometry)
 
@@ -340,7 +339,7 @@ def _cmd_verify(args) -> dict:
     record("hessian_counter_diagonal", oracles.hessian_counter_diagonal(3, 0.7, 1.3), 1e-6)
     record(
         "polarization_mixing_cancellation",
-        oracles.polarization_mixing_cancellation(2, 0.7, 1.3, Geometry(R=1.0, L=1.0)),
+        oracles.polarization_mixing_cancellation(2, 0.7, 1.3),
         1e-7,
     )
     dpq = oracles.d_pq_classes(3, 0.7, 1.3)
@@ -393,7 +392,6 @@ _FLAGS = {
     "--n-radial": dict(type=int, default=None),
     "--n-azimuthal": dict(type=int, default=None),
     "--n-xi": dict(type=int, default=None),
-    "--m-max": dict(type=int, default=None),
     "--threads": dict(type=_at_least_one, default=1,
                       help="worker processes over the frequency nodes (default 1); "
                            "BLAS runs on one thread in each"),
@@ -409,7 +407,7 @@ _FLAGS = {
     "--u": dict(type=str, default=None, help="comma-separated u = 2 xi L r values"),
     "--r-max": dict(type=_at_least_one, default=5, help="largest round-trip count r"),
 }
-_SOLVER = ("--kernel", "--n-radial", "--n-azimuthal", "--n-xi", "--m-max", "--threads")
+_SOLVER = ("--kernel", "--n-radial", "--n-azimuthal", "--n-xi", "--threads")
 _OUTPUT = ("--format", "--out")
 
 # name -> (handler, help, flags)

@@ -60,8 +60,8 @@ def f_phase(xi: float, config: np.ndarray) -> complex:
     return total
 
 
-def g_scalar(xi: float, config: np.ndarray, L: float = 1.0) -> complex:
-    """Scalar round-trip weight prod_j e^{-2 kappa_j L} / kappa_j.
+def g_scalar(xi: float, config: np.ndarray) -> complex:
+    """Scalar round-trip weight prod_j e^{-2 kappa_j} / kappa_j (gap units).
 
     This is the chi = 0 (no polarization tilt) weight; both polarizations
     reduce to it on the saddle manifold at leading order in 1/R.
@@ -69,7 +69,7 @@ def g_scalar(xi: float, config: np.ndarray, L: float = 1.0) -> complex:
     total = 1.0 + 0.0j
     for j in range(config.shape[0]):
         kap = _kappa_c(xi, *config[j])
-        total *= cmath.exp(-2.0 * kap * L) / kap
+        total *= cmath.exp(-2.0 * kap) / kap
     return total
 
 
@@ -143,8 +143,7 @@ class NumericF1:
     f1_over_g: float
 
 
-def numeric_F1(r: int, xi: float, kappa_sp: float, L: float = 1.0,
-               step: float = 0.04) -> NumericF1:
+def numeric_F1(r: int, xi: float, kappa_sp: float) -> NumericF1:
     """D1, D2, D3 and F1 from finite differences of f and the scalar g.
 
     D1 contracts third v-derivatives of f pairwise over conjugate indices
@@ -156,10 +155,10 @@ def numeric_F1(r: int, xi: float, kappa_sp: float, L: float = 1.0,
         raise ValueError("the NTLO saddle correction requires r >= 2")
     x0 = saddle_config(r, xi, kappa_sp)
     lam = hessian_eigenvalues(r, kappa_sp)
-    stencil = DerivativeStencil(step=step * max(kappa_sp, xi))
+    stencil = DerivativeStencil(step=0.04 * max(kappa_sp, xi))
     f = lambda cfg: f_phase(xi, cfg)
-    g = lambda cfg: g_scalar(xi, cfg, L)
-    gsp = g_scalar(xi, x0, L).real
+    g = lambda cfg: g_scalar(xi, cfg)
+    gsp = g_scalar(xi, x0).real
 
     idx = [(i, alpha) for i in range(1, r) for alpha in (0, 1)]
     third = {}
@@ -204,8 +203,7 @@ def numeric_F1(r: int, xi: float, kappa_sp: float, L: float = 1.0,
     return NumericF1(d1.real, d2.real, d3.real / gsp, f1_over_g)
 
 
-def vanishing_residuals(r: int, xi: float, kappa_sp: float, L: float = 1.0,
-                        step: float = 0.04) -> dict[str, float]:
+def vanishing_residuals(r: int, xi: float, kappa_sp: float) -> dict[str, float]:
     """Scaled residuals of the claims g_i = 0 and f_{i j jbar} = 0.
 
     The first v-derivatives of g away from the flat direction and the mixed
@@ -216,9 +214,9 @@ def vanishing_residuals(r: int, xi: float, kappa_sp: float, L: float = 1.0,
     if r < 2:
         raise ValueError("requires r >= 2")
     x0 = saddle_config(r, xi, kappa_sp)
-    stencil = DerivativeStencil(step=step * max(kappa_sp, xi))
+    stencil = DerivativeStencil(step=0.04 * max(kappa_sp, xi))
     f = lambda cfg: f_phase(xi, cfg)
-    g = lambda cfg: g_scalar(xi, cfg, L)
+    g = lambda cfg: g_scalar(xi, cfg)
 
     # scale for g_i: the flat-direction derivative d g / d v_{0,x}
     g_scale = abs(stencil.mixed(g, x0, [w_direction(r, 0, 0)]))
@@ -266,11 +264,10 @@ def vanishing_residuals(r: int, xi: float, kappa_sp: float, L: float = 1.0,
     }
 
 
-def hessian_counter_diagonal(r: int, xi: float, kappa_sp: float,
-                             step: float = 0.04) -> float:
+def hessian_counter_diagonal(r: int, xi: float, kappa_sp: float) -> float:
     """Max deviation of (W^T H_xx W)_{jl} from lambda_j delta_{j, r-l}."""
     x0 = saddle_config(r, xi, kappa_sp)
-    stencil = DerivativeStencil(step=step * max(kappa_sp, xi))
+    stencil = DerivativeStencil(step=0.04 * max(kappa_sp, xi))
     f = lambda cfg: f_phase(xi, cfg)
     lam = hessian_eigenvalues(r, kappa_sp)
     worst = 0.0
@@ -282,8 +279,7 @@ def hessian_counter_diagonal(r: int, xi: float, kappa_sp: float,
     return worst
 
 
-def polarization_mixing_cancellation(r: int, xi: float, kappa_sp: float,
-                                     geometry: Geometry, step: float = 0.03) -> float:
+def polarization_mixing_cancellation(r: int, xi: float, kappa_sp: float) -> float:
     """Scaled residual of the claim that polarization tilt cancels in D3.
 
     Evaluates the conjugate Hessian sum sum_i g_{i ibar} / 2 lambda_i once
@@ -310,7 +306,7 @@ def polarization_mixing_cancellation(r: int, xi: float, kappa_sp: float,
             )
             for j in range(r)
         ]
-        return g_function(points, geometry)
+        return g_function(points)
 
     def g_pair(config: np.ndarray) -> float:
         return 2.0 * g_scalar(xi, config.astype(complex)).real
@@ -320,7 +316,7 @@ def polarization_mixing_cancellation(r: int, xi: float, kappa_sp: float,
 
     def conj_hessian(func) -> float:
         total = 0.0
-        h = step * kappa_sp
+        h = 0.03 * kappa_sp
         for i in range(1, r):
             for alpha in (0, 1):
                 u = w_direction(r, i, alpha)
@@ -347,7 +343,7 @@ def polarization_mixing_cancellation(r: int, xi: float, kappa_sp: float,
     return abs(full - pair) / scale
 
 
-def d_pq_classes(r: int, xi: float, kappa_sp: float, step: float = 0.04) -> dict[str, float]:
+def d_pq_classes(r: int, xi: float, kappa_sp: float) -> dict[str, float]:
     """Check the nonzero classes of d_pq against d, -d/3, +d/3 and the zeros.
 
     d_pq(m,n,s;t,u,w) contracts third k-derivatives of the single-leg phases
@@ -360,7 +356,7 @@ def d_pq_classes(r: int, xi: float, kappa_sp: float, step: float = 0.04) -> dict
         raise ValueError("class check intended for r in {2, 3, 4}")
     k_sp = math.sqrt(kappa_sp**2 - xi**2)
     x0 = saddle_config(r, xi, kappa_sp)
-    stencil = DerivativeStencil(step=step * kappa_sp)
+    stencil = DerivativeStencil(step=0.04 * kappa_sp)
 
     def eta_leg(p):
         return lambda config: _eta_c(xi, config[p], config[(p + 1) % r])

@@ -33,8 +33,9 @@ test suite only and must agree with this fast path to 1e-12.
 `round_trip_element` is the one implementation of the symmetrized
 plane -> sphere -> plane element: the solver's kernel sampling
 (solver._fourier_kernels) and the brute-force trace oracle
-(oracles._pair_elements) call it.  Beneath it, `sphere_element` combines
-the sphere amplitudes of the three kernels with the chi rotation; the
+(oracles._pair_elements) call it.  Beneath it, `sphere_element(xi, k_in,
+k_out, dphi, rho, kind, amplitudes=None)` combines the sphere amplitudes of
+the three kernels with the chi rotation, with no plane reflection; the
 saddle weight asymptotics.g_function calls it directly.  All of them are
 vectorized over broadcastable (xi, k_in, k_out, dphi) arrays and return
 mantissas with one log scale.
@@ -179,14 +180,12 @@ def sphere_amplitudes(xi, k_in, k_out, dphi, rho, kind) -> Amplitudes:
     return _amplitudes(xi, _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi), rho, kind)
 
 
-def sphere_element(xi, k_in, k_out, dphi, rho, kind, amplitudes=None,
-                   r_tm=1.0, r_te=1.0) -> Channels:
+def sphere_element(xi, k_in, k_out, dphi, rho, kind, amplitudes=None) -> Channels:
     """kappa_out <out|R_S|in> of a sphere of radius rho, four channels at once.
 
     Vectorized over broadcastable (xi, k_in, k_out, dphi), dphi = phi_out -
     phi_in.  The amplitudes are those of `kind` unless precomputed ones are
-    passed.  Each channel is multiplied by r_tm or r_te according to its
-    incoming polarization (the plane's reflection for a round trip).
+    passed.
     """
     kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
     p_diff = _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi)
@@ -194,12 +193,11 @@ def sphere_element(xi, k_in, k_out, dphi, rho, kind, amplitudes=None,
         amplitudes = _amplitudes(xi, p_diff, rho, kind)
     perp, par, log_scale, pref = amplitudes
     a, b, c, d = abcd_arrays(xi, k_in, k_out, kap_in, kap_out, dphi, p_diff)
-    tm, te = r_tm * pref, r_te * pref
     return Channels(
-        (a * par + b * perp) * tm,
-        (a * perp + b * par) * te,
-        (c * perp + d * par) * -te,
-        (c * par + d * perp) * tm,
+        (a * par + b * perp) * pref,
+        (a * perp + b * par) * pref,
+        (c * perp + d * par) * -pref,
+        (c * par + d * perp) * pref,
         log_scale,
     )
 
@@ -216,10 +214,10 @@ def round_trip_element(xi, k_in, k_out, dphi, rho, kind, amplitudes=None) -> Cha
     <= 0 for the WKB kinds).  Arguments as for `sphere_element`; quadrature
     weights are the caller's.
     """
-    el = sphere_element(xi, k_in, k_out, dphi, rho, kind, amplitudes,
-                        plane_reflection(Polarization.TM), plane_reflection(Polarization.TE))
+    el = sphere_element(xi, k_in, k_out, dphi, rho, kind, amplitudes)
     kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
     log_scale = (el.log_scale - (kap_in + kap_out) * (1.0 + rho)
                  - 0.5 * (np.log(kap_in) + np.log(kap_out)))
-    return el._replace(log_scale=log_scale)
+    # the plane's Fresnel coefficient of the incoming channel: +1 TM, -1 TE
+    return el._replace(ee=-el.ee, me=-el.me, log_scale=log_scale)
 

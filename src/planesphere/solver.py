@@ -89,9 +89,9 @@ def half_line_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
 class QuadratureConfig:
     """Discretization knobs for the radial, azimuthal and frequency grids.
 
-    m_max=None truncates the azimuthal sum before the first m >= 1 whose
-    block Frobenius norm is below 1e-10 of the m=0 block's, or else runs it
-    to the Nyquist order n_azimuthal/2.  The norms of all blocks come from
+    The azimuthal sum stops by one of two rules: before the first m >= 1
+    whose block Frobenius norm is below 1e-10 of the m=0 block's, or else
+    at the Nyquist order n_azimuthal/2.  The norms of all blocks come from
     the Fourier coefficients in one pass, before any block is assembled.
 
     Within the sum, a block m >= 1 with norm f < 1 and weighted tail bound
@@ -103,7 +103,6 @@ class QuadratureConfig:
     n_radial: int
     n_azimuthal: int
     n_xi: int
-    m_max: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("n_radial", "n_azimuthal", "n_xi"):
@@ -111,8 +110,6 @@ class QuadratureConfig:
                 raise ValueError(f"{name} must be >= 4")
         if not _is_power_of_two(self.n_azimuthal):
             raise ValueError("n_azimuthal must be a power of two (FFT length)")
-        if self.m_max is not None and not (0 <= self.m_max <= self.n_azimuthal // 2):
-            raise ValueError("m_max must lie in [0, n_azimuthal/2]")
 
     @classmethod
     def auto(cls, geometry: Geometry) -> "QuadratureConfig":
@@ -149,7 +146,6 @@ class EnergyReport:
             "n_radial": self.config.n_radial,
             "n_azimuthal": self.config.n_azimuthal,
             "n_xi": self.config.n_xi,
-            "m_max": self.config.m_max,
             "diagnostics": self.diagnostics,
         }
 
@@ -205,22 +201,14 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
     x_ji *= scale
     del scale
 
-    def cos_coeff(half: np.ndarray) -> np.ndarray:
-        full = np.empty((half.shape[0], m_grid))
-        full[:, : mh + 1] = half
-        full[:, mh + 1:] = half[:, mh - 1:0:-1]
-        return np.fft.rfft(full, axis=1).real / m_grid
-
-    def sin_coeff(half: np.ndarray) -> np.ndarray:
-        full = np.empty((half.shape[0], m_grid))
-        full[:, : mh + 1] = half
-        full[:, mh + 1:] = -half[:, mh - 1:0:-1]
-        return -np.fft.rfft(full, axis=1).imag / m_grid
-
-    cmm = cos_coeff(cmm)
-    cee = cos_coeff(cee)
-    x_ij = sin_coeff(x_ij)
-    x_ji = sin_coeff(x_ji)
+    # the samples at dphi in [0, pi] are the half spectrum of a real even
+    # (cosine) or odd (sine, times -i) sequence, so one inverse real FFT
+    # per channel yields the coefficients; the copy frees the full-length
+    # transform
+    cmm = np.fft.irfft(cmm, m_grid, axis=1)[:, : mh + 1].copy()
+    cee = np.fft.irfft(cee, m_grid, axis=1)[:, : mh + 1].copy()
+    x_ij = np.fft.irfft(-1j * x_ij, m_grid, axis=1)[:, : mh + 1].copy()
+    x_ji = np.fft.irfft(-1j * x_ji, m_grid, axis=1)[:, : mh + 1].copy()
     return ii, jj, cmm, cee, x_ij, x_ji
 
 
@@ -258,13 +246,11 @@ def _block_norms(ii, jj, cmm, cee, x_ij, x_ji) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _last_m(norms: np.ndarray, config: QuadratureConfig) -> int:
-    """Last azimuthal order of the sum: m_max, or the norm cutoff, or Nyquist."""
-    if config.m_max is not None:
-        return config.m_max
+def _last_m(norms: np.ndarray) -> int:
+    """Last azimuthal order of the sum: the norm cutoff, or Nyquist (the last norm)."""
     norm0 = norms[0] if norms[0] > 0.0 else 1.0
     small = np.flatnonzero(norms[1:] < NORM_CUTOFF * norm0)
-    return int(small[0]) if small.size else config.n_azimuthal // 2
+    return int(small[0]) if small.size else norms.size - 1
 
 
 def _closed_form_log_dets(ii, jj, cmm, cee, norms, weights, log_det0):
@@ -287,11 +273,11 @@ def _closed_form_log_dets(ii, jj, cmm, cee, norms, weights, log_det0):
 
 def _iter_blocks(xi: float, geometry: Geometry, kind: KernelKind,
                  config: QuadratureConfig) -> Iterator[BlockMatrix]:
-    """Yield blocks for m = 0, 1, ... up to m_max or the norm cutoff."""
+    """Yield blocks for m = 0, 1, ... up to the norm cutoff or Nyquist."""
     ii, jj, cmm, cee, x_ij, x_ji = _fourier_kernels(xi, geometry, kind, config)
     if ii.size == 0:
         return
-    m_cap = _last_m(_block_norms(ii, jj, cmm, cee, x_ij, x_ji), config)
+    m_cap = _last_m(_block_norms(ii, jj, cmm, cee, x_ij, x_ji))
     n = config.n_radial
     for m in range(m_cap + 1):
         block = _assemble_block(n, m, ii, jj, cmm, cee, x_ij, x_ji)
@@ -341,7 +327,7 @@ def _xi_contribution(args) -> tuple[float, int]:
     if ii.size == 0:
         return 0.0, -1
     norms = _block_norms(ii, jj, cmm, cee, x_ij, x_ji)
-    m_last = _last_m(norms, config)
+    m_last = _last_m(norms)
     weights = _azimuthal_weights(config)
     n = config.n_radial
 
@@ -449,11 +435,10 @@ def trace_Mr_numeric(r: int, xi: float, geometry: Geometry, kind: KernelKind,
     """Sum_m (2 - delta_m0) tr(M_m^r) at one frequency."""
     if r < 1:
         raise ValueError("round-trip count must be >= 1")
-    mh = config.n_azimuthal // 2
+    weights = _azimuthal_weights(config)
     total = 0.0
     for block in _iter_blocks(xi, geometry, kind, config):
-        weight = 1.0 if block.m in (0, mh) else 2.0
         power = np.linalg.matrix_power(block.entries, r)
-        total += weight * float(np.trace(power))
-    return total
+        total += weights[block.m] * float(np.trace(power))
+    return float(total)
 

@@ -36,18 +36,19 @@ EULER_GAMMA = 0.57721566490153286060651209008240243
 # modified Bessel functions of half-integer order, log-scaled
 # ---------------------------------------------------------------------------
 
-def _bessel_i_ratio(nu: float, x: float, tol: float = 1e-16, max_iter: int = 100000) -> float:
+def _bessel_i_ratio(nu: float, x: float) -> float:
     """I_{nu+1}(x)/I_nu(x) via the continued fraction, modified Lentz.
 
     The fraction 1/r = 2(nu+1)/x + 1/(2(nu+2)/x + ...) converges for all
-    x > 0; the ratio lies in (0, 1).
+    x > 0; the ratio lies in (0, 1).  Iterates until a step changes the
+    value by less than 1e-16 relative, for at most 10^5 terms.
     """
     tiny = 1e-300
     b = 2.0 * (nu + 1.0) / x
     f = b if b != 0.0 else tiny
     c = f
     d = 0.0
-    for j in range(2, max_iter):
+    for j in range(2, 100000):
         b = 2.0 * (nu + j) / x
         d = b + d
         if d == 0.0:
@@ -58,7 +59,7 @@ def _bessel_i_ratio(nu: float, x: float, tol: float = 1e-16, max_iter: int = 100
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < 1e-16:
             return 1.0 / f
     raise RuntimeError(f"Bessel ratio continued fraction failed for nu={nu}, x={x}")
 

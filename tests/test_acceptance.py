@@ -118,9 +118,7 @@ def test_criterion_4_vanishing_and_mixing_claims():
         assert res["g_i_scaled"] < 1e-7
         assert res["f_ijjbar_scaled"] < 1e-7
     for r in (2, 3):
-        assert oracles.polarization_mixing_cancellation(
-            r, 0.7, 1.3, Geometry(R=1.0, L=1.0)
-        ) < 1e-7
+        assert oracles.polarization_mixing_cancellation(r, 0.7, 1.3) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +181,9 @@ def test_criterion_7_exact_vs_wkb1_at_large_ratio():
 
 def test_criterion_8_block_symmetry():
     geometry = Geometry(R=3.0, L=1.0)
-    cfg = QuadratureConfig(n_radial=16, n_azimuthal=64, n_xi=8, m_max=4)
+    cfg = QuadratureConfig(n_radial=16, n_azimuthal=64, n_xi=8)
     for kind in KernelKind:
-        for block in build_blocks(0.9, geometry, kind, cfg):
+        for block in build_blocks(0.9, geometry, kind, cfg)[:5]:
             asym = np.max(np.abs(block.entries - block.entries.T))
             scale = max(float(np.max(np.abs(block.entries))), 1e-300)
             assert asym / scale < 1e-10
@@ -193,8 +191,8 @@ def test_criterion_8_block_symmetry():
 
 def test_criterion_8_mercator_series_within_bound():
     geometry = Geometry(R=5.0, L=1.0)
-    cfg = QuadratureConfig(n_radial=24, n_azimuthal=64, n_xi=8, m_max=2)
-    for block in build_blocks(0.8, geometry, KernelKind.EXACT_MIE, cfg):
+    cfg = QuadratureConfig(n_radial=24, n_azimuthal=64, n_xi=8)
+    for block in build_blocks(0.8, geometry, KernelKind.EXACT_MIE, cfg)[:3]:
         m = block.entries
         dim = m.shape[0]
         eigs = np.linalg.eigvalsh(m)

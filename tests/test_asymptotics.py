@@ -11,8 +11,6 @@ from planesphere.asymptotics import (
     beta_bundle,
     e_pfa,
     energy_asymptotic,
-    eta,
-    f_function,
     g_function,
     g_saddle,
     hessian_eigenvalues,
@@ -73,32 +71,14 @@ def test_pfa_energy_and_ntlo():
     geometry = Geometry(R=100.0, L=1.0)
     assert e_pfa(geometry) == pytest.approx(-math.pi**3 * 100.0 / 720.0, rel=1e-15)
     b1 = beta_bundle().beta1
-    assert energy_asymptotic(geometry, order="ntlo") == pytest.approx(
+    assert energy_asymptotic(geometry) == pytest.approx(
         e_pfa(geometry) * (1.0 + b1 / 100.0), rel=1e-15
     )
-    assert energy_asymptotic(geometry, order="pfa") == e_pfa(geometry)
-    with pytest.raises(ValueError):
-        energy_asymptotic(geometry, order="nnlo")
 
 
 # ---------------------------------------------------------------------------
 # saddle-point geometry
 # ---------------------------------------------------------------------------
-
-def test_f_vanishes_on_saddle():
-    # equal wave vectors make every leg exponent eta zero
-    xi, k = 0.7, 1.9
-    for r in (1, 2, 5):
-        points = [SpectralPoint(xi=xi, k=k, phi_az=0.0)] * r
-        assert f_function(points) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_eta_positive_off_saddle():
-    a = SpectralPoint(xi=0.7, k=1.0)
-    b = SpectralPoint(xi=0.7, k=2.0, phi_az=0.5)
-    assert eta(a, b) > 0.0
-    assert eta(a, b) == pytest.approx(eta(b, a), rel=1e-14)
-
 
 def test_hessian_eigenvalues_product_identity():
     # prod_{j=1}^{r-1} (1/lambda_j) = (2 kappa_sp)^{r-1} / r^2
@@ -126,11 +106,10 @@ def test_g_function_on_saddle_matches_closed_form():
     # prod_j e^{-2 kappa L} / kappa each, so g = 2 (e^{-2 kappa L}/kappa)^r
     xi, k = 0.8, 1.5
     kappa = math.hypot(xi, k)
-    geometry = Geometry(R=7.0, L=1.0)
     for r in (1, 2, 3, 13):
         points = [SpectralPoint(xi=xi, k=k, phi_az=0.0)] * r
         want = 2.0 * (math.exp(-2.0 * kappa) / kappa) ** r
-        assert g_function(points, geometry) == pytest.approx(want, rel=1e-12)
+        assert g_function(points) == pytest.approx(want, rel=1e-12)
         assert g_saddle(r, xi, kappa) == pytest.approx(want, rel=1e-12)
 
 

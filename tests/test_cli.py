@@ -199,6 +199,7 @@ def test_usage_errors_exit_2(capsys):
     ["beta", "--plot"],
     ["verify", "--kernel", "wkb0"],
     ["beta-fit", "--R", "5"],
+    ["energy", "--R", "5", "--L", "1", "--m-max", "3"],
 ])
 def test_flags_a_command_does_not_read_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from planesphere.core import Geometry
 from planesphere.mie import ExactAmplitudes
 from planesphere.oracles import (
     DerivativeStencil,
+    _eta_c,
     beta_fit,
     brute_force_trace,
     d_pq_classes,
@@ -65,6 +66,10 @@ def test_f_phase_zero_on_saddle_and_positive_nearby():
         bumped = x0.copy()
         bumped[0, 0] += 0.05
         assert f_phase(xi, bumped).real > 0.0
+    # the one-leg phase is symmetric in its two wave vectors
+    a = np.array([1.0, 0.0], dtype=complex)
+    b = np.array([2.0 * math.cos(0.5), 2.0 * math.sin(0.5)], dtype=complex)
+    assert _eta_c(xi, a, b) == pytest.approx(_eta_c(xi, b, a), rel=1e-14)
 
 
 def test_g_scalar_value():
@@ -105,9 +110,8 @@ def test_vanishing_claims():
 
 
 def test_polarization_mixing_cancels():
-    geometry = Geometry(R=1.0, L=1.0)
     for r in (2, 3):
-        assert polarization_mixing_cancellation(r, 0.7, 1.3, geometry) < 1e-7
+        assert polarization_mixing_cancellation(r, 0.7, 1.3) < 1e-7
 
 
 def test_d_pq_classes():
