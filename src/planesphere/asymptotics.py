@@ -16,25 +16,27 @@ the beta coefficients of E = E_PFA (1 + beta1 L/R); these are stored here
 exactly as pairs (rational, rational/pi^2) so that the identities
 beta1 = beta_d + beta_go = beta_TE + beta_TM hold in exact arithmetic.
 
-The module also exposes the raw saddle quantities (the round-trip weight g,
-the circulant Hessian spectrum, the appendix D1/D2/D3/F1 closed forms and
-the function a(s)) and numeric quadrature paths over kappa_sp, so that every
-closed form is testable against an independent evaluation rather than merely
-transcribed.  The round-trip phase f and its one-leg terms eta live with the
-finite-difference oracles (oracles.f_phase), which evaluate them at complex
-wave vectors.
+The module also exposes the saddle quantities (the circulant Hessian
+spectrum and the appendix D1/D2/D3/F1 closed forms) and numeric quadrature
+paths over u and kappa_sp.  Each closed form is stated once: the
+reconstructions and the saddle-integral traces call the functions above
+rather than retyping them, so that every closed form is testable against an
+independent evaluation.  The round-trip phase f, its one-leg terms eta and
+the round-trip weight g live with the finite-difference oracles
+(oracles.f_phase, oracles.g_function).  This module depends on no
+round-trip element: it imports neither reflection nor solver.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .core import Geometry, Polarization, SpectralPoint
-from .reflection import KernelKind, plane_reflection, sphere_element
+from .core import Geometry, Polarization
+from .mie import wkb_diffraction_s
 from .special import exp_integral_e1
 
 PI2 = math.pi**2
@@ -122,33 +124,8 @@ def energy_asymptotic(geometry: Geometry) -> float:
 
 
 # ---------------------------------------------------------------------------
-# saddle-point machinery: g, Hessian spectrum
+# saddle-point machinery: Hessian spectrum, appendix closed forms
 # ---------------------------------------------------------------------------
-
-def g_function(points: Sequence[SpectralPoint]) -> float:
-    """Round-trip weight g, summed over all polarization chains (gap units).
-
-    Leg j carries the 2x2 transfer matrix
-        T_j[p_out][p_in] = rho_j[p_out][p_in] (-1)^{p_in} e^{-2 kappa_j} / kappa_j,
-    with rho the polarization factor of the leading (wkb0) sphere element
-    (pi R / kappa_out) e^{2 xi R sin(Theta/2)} rho_{p_out, p_in} and (-1)^p
-    the plane's Fresnel coefficient (p=1 TE, p=2 TM); the sum over the 2^r
-    chains is tr(T_{r-1} ... T_0).  rho does not depend on R, so the
-    element is evaluated at R = 1.  Intended for the derivative oracles.
-    """
-    r = len(points)
-    # indices [p_out][p_in] with 0=TM, 1=TE
-    fresnel = np.array([plane_reflection(Polarization.TM), plane_reflection(Polarization.TE)])
-    chain = np.eye(2)
-    for j in range(r):
-        a_pt, b_pt = points[j], points[(j + 1) % r]
-        el = sphere_element(a_pt.xi, a_pt.k, b_pt.k, b_pt.phi_az - a_pt.phi_az,
-                            1.0, KernelKind.WKB0)
-        rho = np.array([[el.mm, el.me], [el.em, el.ee]], dtype=float) / math.pi
-        weight = math.exp(-2.0 * a_pt.kappa) / a_pt.kappa
-        chain = (rho * fresnel * weight) @ chain
-    return float(np.trace(chain))
-
 
 def hessian_eigenvalues(r: int, kappa_sp: float) -> list[float]:
     """Spectrum (2/kappa_sp) sin^2(pi j / r) of the saddle Hessian blocks.
@@ -158,20 +135,6 @@ def hessian_eigenvalues(r: int, kappa_sp: float) -> list[float]:
     if r < 1:
         raise ValueError("r must be >= 1")
     return [2.0 / kappa_sp * math.sin(math.pi * j / r) ** 2 for j in range(r)]
-
-
-def a_function(s: float, r: int, kappa_sp: float) -> float:
-    """The r-periodic lattice Green's function a(s) = (kappa_sp/6r)(r^2 - 6sr + 6s^2 - 1)."""
-    s = s % r
-    return kappa_sp / (6.0 * r) * (r * r - 6.0 * s * r + 6.0 * s * s - 1.0)
-
-
-def g_saddle(r: int, xi: float, kappa_sp: float) -> float:
-    """g on the saddle manifold at leading order: 2 e^{-2 kappa r}/kappa^r.
-
-    The two polarizations, which coincide here, are summed.
-    """
-    return 2.0 * (math.exp(-2.0 * kappa_sp * r) / kappa_sp**r)
 
 
 @dataclass(frozen=True)
@@ -185,9 +148,10 @@ class AppendixD:
 def appendix_D(r: int, xi: float, kappa_sp: float) -> AppendixD:
     """Closed forms of the appendix (gap units): D1, D2 and D3, F1 divided by g|sp.
 
-    Satisfies F1 = g (D1/12 - D2/8) + D3/2 identically.
+    Satisfies F1 = g (D1/12 - D2/8) + D3/2 identically.  Vectorized over
+    broadcastable (xi, kappa_sp).
     """
-    if kappa_sp < xi:
+    if np.any(kappa_sp < xi):
         raise ValueError("kappa_sp must be >= xi")
     k2, k3 = kappa_sp**2, kappa_sp**3
     x2 = xi**2
@@ -256,20 +220,18 @@ def integrate_0_inf(f: Callable[[np.ndarray], np.ndarray]) -> float:
     return result
 
 
-def integrate_kappa(f: Callable[[np.ndarray], np.ndarray], xi: float) -> float:
-    """integral_{xi}^inf f(kappa) dkappa via the same exp-sinh map."""
-    return integrate_0_inf(lambda v: f(v + xi))
+SERIES_TERMS = 10_000
 
 
-def sum_series_with_tail(term: Callable[[int], float], r_max: int = 10000) -> float:
+def sum_series_with_tail(term: Callable[[int], float]) -> float:
     """Sum_{r>=1} term(r) for terms with a 1/r^2-type tail.
 
-    Richardson extrapolation on the partial sums at r_max/4, r_max/2 and
-    r_max eliminates the 1/N and 1/N^2 tail contributions, leaving an
-    O(N^-3) certified remainder.
+    Richardson extrapolation on the partial sums at N/4, N/2 and N, with
+    N = SERIES_TERMS, eliminates the 1/N and 1/N^2 tail contributions,
+    leaving an O(N^-3) remainder.
     """
-    n0 = r_max // 4
-    values = [term(r) for r in range(1, r_max + 1)]
+    n0 = SERIES_TERMS // 4
+    values = [term(r) for r in range(1, SERIES_TERMS + 1)]
     s1 = math.fsum(values[:n0])
     s2 = math.fsum(values[: 2 * n0])
     s4 = math.fsum(values[: 4 * n0])
@@ -277,7 +239,7 @@ def sum_series_with_tail(term: Callable[[int], float], r_max: int = 10000) -> fl
     return (8.0 * s4 - 6.0 * s2 + s1) / 3.0
 
 
-def reconstruct_e_p0_coefficients(pol: Polarization, r_max: int = 10000) -> tuple[float, float]:
+def reconstruct_e_p0_coefficients(pol: Polarization) -> tuple[float, float]:
     """Numeric (R/L coefficient, constant) of E_{p,0} from the leading traces.
 
     E_{p,0} = -(1/4 pi) sum_r r^{-2} integral_0^inf du (tr M^r_p)_0(u), where
@@ -286,30 +248,24 @@ def reconstruct_e_p0_coefficients(pol: Polarization, r_max: int = 10000) -> tupl
     constant -pi^3 beta_{d,p}/720.
     """
     i_lead = integrate_0_inf(lambda u: np.exp(-u))
-
-    def const_integrand(u: np.ndarray) -> np.ndarray:
-        e1 = np.array([exp_integral_e1(v) for v in np.atleast_1d(u)])
-        if pol is Polarization.TE:
-            return 0.125 * ((u * u - 4.0) * e1 - (u - 1.0) * np.exp(-u))
-        return -0.125 * (u * u * e1 - (u - 1.0) * np.exp(-u))
-
-    i_const = integrate_0_inf(const_integrand)
-    zeta4 = sum_series_with_tail(lambda r: 1.0 / r**4, r_max)
-    zeta2 = sum_series_with_tail(lambda r: 1.0 / r**2, r_max)
+    i_const = integrate_0_inf(
+        lambda u: np.array([trace_Mr_leading(1, v, pol)[1] for v in u])
+    )
+    zeta4 = sum_series_with_tail(lambda r: 1.0 / r**4)
+    zeta2 = sum_series_with_tail(lambda r: 1.0 / r**2)
     lead_coeff = -(1.0 / (4.0 * math.pi)) * zeta4 * i_lead / 4.0
     const_coeff = -(1.0 / (4.0 * math.pi)) * zeta2 * i_const
     return lead_coeff, const_coeff
 
 
-def reconstruct_beta_go(r_max: int = 10000) -> float:
+def reconstruct_beta_go() -> float:
     """beta_go from the NTLO traces: numeric sum/integral against Eq. targets.
 
     E_go = -(1/4 pi) * 2 * sum_r r^{-2} integral du (tr)_1 = E_PFA beta_go L/R.
     """
     i_exp = integrate_0_inf(lambda u: np.exp(-u))
-    series = sum_series_with_tail(
-        lambda r: trace_Mr_ntlo(r, 0.0) / r**2, r_max
-    )  # u-dependence integrates to i_exp exactly
+    # the u-dependence integrates to i_exp exactly
+    series = sum_series_with_tail(lambda r: trace_Mr_ntlo(r, 0.0) / r**2)
     e_go = -(1.0 / (4.0 * math.pi)) * 2.0 * series * i_exp
     return e_go * (-720.0 / math.pi**3)
 
@@ -319,24 +275,22 @@ def trace_Mr_saddle_numeric(r: int, xi: float, geometry: Geometry, term: str,
     """Numeric kappa_sp-integral form of the saddle traces.
 
     term='leading' evaluates (R/2r) * integral dkappa e^{-2 kappa r}
-    (1 + r s_p(kappa)/R) [the full order-1 g|sp]; term='ntlo' evaluates
-    (1/2r) * integral dkappa e^{-2 kappa r} (F1/g)(kappa), the pure 1/R
-    trace correction (per polarization).  Both use adaptive quadrature on
-    kappa in [xi, inf) so the closed forms are testable.
+    (1 + r s_p(kappa)/R) [the full order-1 g|sp], with s_p of
+    mie.wkb_diffraction_s on the saddle (p_diff = 2(kappa^2 - xi^2));
+    term='ntlo' evaluates (1/2r) * integral dkappa e^{-2 kappa r}
+    (F1/g)(kappa) with F1/g of appendix_D, the pure 1/R trace correction
+    (per polarization).  Both use the exp-sinh quadrature on kappa in
+    [xi, inf) so the closed traces are testable.
     """
     rho = geometry.aspect_ratio
     if term == "leading":
         def integrand(kap: np.ndarray) -> np.ndarray:
-            s_te = (0.5 * xi**2 - kap**2) / kap**3
-            s_tm = -0.5 * xi**2 / kap**3
-            s_p = s_te if pol is Polarization.TE else s_tm
+            s_perp, s_par = wkb_diffraction_s(xi, 2.0 * (kap**2 - xi**2))
+            s_p = s_perp if pol is Polarization.TE else s_par
             return np.exp(-2.0 * kap * r) * (rho + r * s_p)
-        return integrate_kappa(integrand, xi) / (2.0 * r)
-    if term == "ntlo":
+    elif term == "ntlo":
         def integrand(kap: np.ndarray) -> np.ndarray:
-            f1_over_g = -(r * r - 1.0) * (
-                r * kap * (kap**2 + xi**2) + xi**2
-            ) / (6.0 * r * kap**3)
-            return np.exp(-2.0 * kap * r) * f1_over_g
-        return integrate_kappa(integrand, xi) / (2.0 * r)
-    raise ValueError(f"unknown term {term!r}")
+            return np.exp(-2.0 * kap * r) * appendix_D(r, xi, kap).f1_over_g
+    else:
+        raise ValueError(f"unknown term {term!r}")
+    return integrate_0_inf(lambda v: integrand(v + xi)) / (2.0 * r)

@@ -49,11 +49,12 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _flatten(report: dict, prefix: str = "") -> dict:
+def _flatten(report: dict | list, prefix: str = "") -> dict:
     flat = {}
-    for key, value in report.items():
+    items = report.items() if isinstance(report, dict) else enumerate(report)
+    for key, value in items:
         name = f"{prefix}{key}"
-        if isinstance(value, dict):
+        if isinstance(value, (dict, list)):
             flat.update(_flatten(value, prefix=f"{name}."))
         else:
             flat[name] = value
@@ -63,9 +64,10 @@ def _flatten(report: dict, prefix: str = "") -> dict:
 def emit_csv(reports: list[dict]) -> str:
     """Delimited serialization: one row per report, stable column order.
 
-    Columns follow the key order of the first report (nested dicts become
-    dot-joined column names); floats carry 17 significant digits so the
-    round trip through parse_csv is exact.
+    Columns follow the key order of the first report: nested dicts become
+    dot-joined column names and list items are indexed (samples.0.ratio_to_pfa,
+    table_percentages.0), so every cell is a number or a plain label.  Floats
+    carry 17 significant digits so that reading a cell back is exact.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -81,26 +83,6 @@ def emit_csv(reports: list[dict]) -> str:
     for flat in flat_reports:
         writer.writerow([_format_value(flat[c]) for c in columns])
     return buffer.getvalue()
-
-
-def _parse_cell(cell: str):
-    if cell == "":
-        return None
-    for kind in (int, float):
-        try:
-            return kind(cell)
-        except ValueError:
-            continue
-    return cell
-
-
-def parse_csv(text: str) -> list[dict]:
-    """Inverse of emit_csv up to the dict nesting (columns stay dotted)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] == []:
-        return []
-    header = rows[0]
-    return [dict(zip(header, map(_parse_cell, row))) for row in rows[1:]]
 
 
 def emit_json(report: dict) -> str:
@@ -264,6 +246,9 @@ def _cmd_beta_fit(args) -> dict:
             "aspect_ratio": rho,
             "energy_hbar_c_over_L": rep.energy,
             "ratio_to_pfa": rep.ratio_to_pfa,
+            "n_radial": config.n_radial,
+            "n_azimuthal": config.n_azimuthal,
+            "n_xi": config.n_xi,
         })
     estimate, stderr = beta_fit(
         [(s["aspect_ratio"], s["ratio_to_pfa"]) for s in samples], model=args.model
@@ -271,6 +256,7 @@ def _cmd_beta_fit(args) -> dict:
     report = {
         "kernel": kind.value,
         "model": args.model,
+        "threads": args.threads,
         "beta_estimate": estimate,
         "beta_stderr": stderr,
         "samples": samples,

@@ -9,9 +9,10 @@ in units of hbar*c/L.  Conversion to other units happens only at the CLI
 boundary.
 
 A plane-wave channel is labeled by its imaginary frequency xi, the magnitude
-and azimuth of its transverse wave vector and its polarization in the
-Fresnel (TE/TM) basis; `SpectralPoint` holds the first three.  On the
-imaginary-frequency branch the z-component of the wave vector is i*kappa with
+k and azimuth phi of its transverse wave vector and its polarization in the
+Fresnel (TE/TM) basis; the numeric layers take xi, k and phi as plain
+floats or numpy arrays.  On the imaginary-frequency branch the z-component
+of the wave vector is i*kappa with
 
     kappa = sqrt(xi**2 + k**2),
 
@@ -59,38 +60,3 @@ class Geometry:
     def aspect_ratio(self) -> float:
         """R/L, the only geometric parameter of the nondimensional problem."""
         return self.R / self.L
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One plane-wave channel of the angular spectral representation.
-
-    Parameters
-    ----------
-    xi : float
-        Imaginary frequency, units c/L, >= 0.
-    k : float
-        Transverse wavenumber magnitude, units 1/L, >= 0.
-    phi_az : float
-        Azimuth of the transverse wave vector, radians.
-    """
-
-    xi: float
-    k: float
-    phi_az: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.xi < 0:
-            raise ValueError("imaginary frequency must be >= 0")
-        if self.k < 0:
-            raise ValueError("transverse wavenumber must be >= 0")
-
-    @property
-    def kappa(self) -> float:
-        return kappa(self.xi, self.k)
-
-
-def kappa(xi: float, k: float) -> float:
-    """Imaginary z-wavenumber kappa = sqrt(xi**2 + k**2) (positive root)."""
-    return math.hypot(xi, k)
-

@@ -2,9 +2,12 @@
 
 Nothing in this module reuses the closed forms it checks.  The saddle-point
 quantities D1, D2, D3 and F1 are rebuilt from finite differences of the
-round-trip phase f and weight g; the r-round-trip traces are rebuilt by
-direct quadrature of the scattering formula.  They share the round-trip
-element (reflection.round_trip_element) with the solver, but none of its
+round-trip phase f and the scalar weight g_scalar; the claim that the
+polarization tilt cancels is checked against the full polarization-summed
+weight g_function, a 2x2 transfer-matrix trace over wkb0 sphere elements
+(reflection.sphere_element).  The r-round-trip traces are rebuilt by direct
+quadrature of the scattering formula.  They share the round-trip element
+(reflection.round_trip_element) with the solver, but none of its
 Nystrom/FFT machinery.
 
 Derivatives in the Fourier-transformed saddle variables v (defined by
@@ -24,9 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Geometry, SpectralPoint
-from .reflection import KernelKind, round_trip_element, sphere_amplitudes
-from .asymptotics import g_function, hessian_eigenvalues
+from .asymptotics import hessian_eigenvalues
+from .core import Geometry
+from .reflection import KernelKind, round_trip_element, sphere_amplitudes, sphere_element
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +74,31 @@ def g_scalar(xi: float, config: np.ndarray) -> complex:
         kap = _kappa_c(xi, *config[j])
         total *= cmath.exp(-2.0 * kap) / kap
     return total
+
+
+def g_function(xi: float, config: np.ndarray) -> float:
+    """Round-trip weight g, summed over all polarization chains (gap units).
+
+    config is a real (r, 2) array of (k_x, k_y) per leg; leg j runs from
+    channel j into channel j+1 (mod r) and carries the 2x2 transfer matrix
+        T_j[p_out][p_in] = rho_j[p_out][p_in] (-1)^{p_in} e^{-2 kappa_j} / kappa_j,
+    with rho the polarization factor of the leading (wkb0) sphere element
+    (pi R / kappa_out) e^{2 xi R sin(Theta/2)} rho_{p_out, p_in} and (-1)^p
+    the plane's Fresnel coefficient (+1 TM, -1 TE).  The sum over the 2^r
+    chains is tr(T_{r-1} ... T_0).  rho does not depend on R, so all r legs
+    are evaluated in one sphere_element call at R = 1.
+    """
+    k = np.hypot(config[:, 0], config[:, 1])
+    phi = np.arctan2(config[:, 1], config[:, 0])
+    el = sphere_element(xi, k, np.roll(k, -1), np.roll(phi, -1) - phi, 1.0, KernelKind.WKB0)
+    # indices [leg][p_out][p_in] with 0 = TM, 1 = TE
+    rho = np.array([[el.mm, el.me], [el.em, el.ee]]).transpose(2, 0, 1) / math.pi
+    kap = np.hypot(xi, k)
+    transfer = rho * np.array([1.0, -1.0]) * (np.exp(-2.0 * kap) / kap)[:, None, None]
+    chain = np.eye(2)
+    for leg in transfer:
+        chain = leg @ chain
+    return float(np.trace(chain))
 
 
 def saddle_config(r: int, xi: float, kappa_sp: float) -> np.ndarray:
@@ -283,9 +311,9 @@ def polarization_mixing_cancellation(r: int, xi: float, kappa_sp: float) -> floa
     """Scaled residual of the claim that polarization tilt cancels in D3.
 
     Evaluates the conjugate Hessian sum sum_i g_{i ibar} / 2 lambda_i once
-    with the full polarization-summed weight (including the chi-rotation
-    factors of the matrix elements) and once with twice the scalar chi = 0
-    weight, and returns their difference scaled by the latter.  Uses real
+    with the full polarization-summed weight g_function (including the
+    chi-rotation factors of the matrix elements) and once with twice the
+    scalar chi = 0 weight, and returns their difference scaled by the latter.  Uses real
     two-sided displacements along Re/Im parts of the W columns expanded by
     bilinearity, since the full weight is only defined for real wave
     vectors.
@@ -296,20 +324,6 @@ def polarization_mixing_cancellation(r: int, xi: float, kappa_sp: float) -> floa
     if k_sp <= 0.0:
         raise ValueError("needs kappa_sp > xi for a nondegenerate saddle")
     lam = hessian_eigenvalues(r, kappa_sp)
-
-    def g_full(config: np.ndarray) -> float:
-        points = [
-            SpectralPoint(
-                xi,
-                float(np.hypot(config[j, 0], config[j, 1])),
-                float(math.atan2(config[j, 1], config[j, 0])),
-            )
-            for j in range(r)
-        ]
-        return g_function(points)
-
-    def g_pair(config: np.ndarray) -> float:
-        return 2.0 * g_scalar(xi, config.astype(complex)).real
 
     x0 = np.zeros((r, 2))
     x0[:, 0] = k_sp
@@ -337,8 +351,8 @@ def polarization_mixing_cancellation(r: int, xi: float, kappa_sp: float) -> floa
                     total += sgn * val / (2.0 * lam[i])
         return total
 
-    full = conj_hessian(g_full)
-    pair = conj_hessian(g_pair)
+    full = conj_hessian(lambda config: g_function(xi, config))
+    pair = conj_hessian(lambda config: 2.0 * g_scalar(xi, config.astype(complex)).real)
     scale = abs(pair) if pair != 0.0 else 1.0
     return abs(full - pair) / scale
 

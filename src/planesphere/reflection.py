@@ -36,7 +36,7 @@ plane -> sphere -> plane element: the solver's kernel sampling
 (oracles._pair_elements) call it.  Beneath it, `sphere_element(xi, k_in,
 k_out, dphi, rho, kind, amplitudes=None)` combines the sphere amplitudes of
 the three kernels with the chi rotation, with no plane reflection; the
-saddle weight asymptotics.g_function calls it directly.  All of them are
+saddle weight oracles.g_function calls it directly.  All of them are
 vectorized over broadcastable (xi, k_in, k_out, dphi) arrays and return
 mantissas with one log scale.
 """
@@ -48,7 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Polarization
 from .mie import ExactAmplitudes, wkb_diffraction_s
 
 
@@ -130,11 +129,6 @@ def abcd_arrays(xi, k_in, k_out, kappa_in, kappa_out, dphi, p_diff=None):
     c = sin_out * cos_in
     d = -cos_out * sin_in
     return a, b, c, d
-
-
-def plane_reflection(pol: Polarization) -> float:
-    """Fresnel coefficient of the perfectly reflecting plane: TM +1, TE -1."""
-    return 1.0 if pol is Polarization.TM else -1.0
 
 
 def _amplitudes(xi, p_diff, rho, kind) -> Amplitudes:

@@ -69,9 +69,9 @@ def test_criterion_1_beta_constants():
 def test_criterion_2_leading_reconstruction():
     b = beta_bundle()
     for pol, beta_dp in ((TE, b.beta_d_te), (TM, b.beta_d_tm)):
-        lead, const = reconstruct_e_p0_coefficients(pol, r_max=10_000)
-        assert lead == pytest.approx(-math.pi**3 / 1440.0, rel=1e-6)
-        assert const == pytest.approx(-math.pi**3 * beta_dp / 720.0, rel=1e-6)
+        lead, const = reconstruct_e_p0_coefficients(pol)
+        assert lead == pytest.approx(-math.pi**3 / 1440.0, rel=1e-8)
+        assert const == pytest.approx(-math.pi**3 * beta_dp / 720.0, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_criterion_2_leading_reconstruction():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_ntlo_reconstruction():
-    assert reconstruct_beta_go(r_max=10_000) == pytest.approx(
+    assert reconstruct_beta_go() == pytest.approx(
         beta_bundle().beta_go, rel=1e-8
     )
 

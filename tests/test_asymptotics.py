@@ -1,28 +1,28 @@
 """Analytic asymptotics: beta constants, saddle quantities, reconstructions."""
+import ast
 import math
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import planesphere
 from planesphere.asymptotics import (
     appendix_D,
-    a_function,
     beta_bundle,
     e_pfa,
     energy_asymptotic,
-    g_function,
-    g_saddle,
     hessian_eigenvalues,
     integrate_0_inf,
-    reconstruct_beta_go,
-    reconstruct_e_p0_coefficients,
     sum_series_with_tail,
     trace_Mr_leading,
     trace_Mr_ntlo,
     trace_Mr_saddle_numeric,
 )
-from planesphere.core import Geometry, Polarization, SpectralPoint
+from planesphere.core import Geometry, Polarization
 
 PI2 = math.pi**2
 TM, TE = Polarization.TM, Polarization.TE
@@ -90,29 +90,6 @@ def test_hessian_eigenvalues_product_identity():
         assert inv_prod == pytest.approx((2.0 * kappa_sp) ** (r - 1) / r**2, rel=1e-12)
 
 
-def test_a_function_symmetry_and_periodicity():
-    r, kappa_sp = 5, 1.3
-    for s in range(r):
-        assert a_function(s, r, kappa_sp) == pytest.approx(
-            a_function(r - s, r, kappa_sp), rel=1e-14
-        )
-        assert a_function(s + r, r, kappa_sp) == pytest.approx(
-            a_function(s, r, kappa_sp), rel=1e-14
-        )
-
-
-def test_g_function_on_saddle_matches_closed_form():
-    # order 0 on the saddle: both polarization chains survive with weight
-    # prod_j e^{-2 kappa L} / kappa each, so g = 2 (e^{-2 kappa L}/kappa)^r
-    xi, k = 0.8, 1.5
-    kappa = math.hypot(xi, k)
-    for r in (1, 2, 3, 13):
-        points = [SpectralPoint(xi=xi, k=k, phi_az=0.0)] * r
-        want = 2.0 * (math.exp(-2.0 * kappa) / kappa) ** r
-        assert g_function(points) == pytest.approx(want, rel=1e-12)
-        assert g_saddle(r, xi, kappa) == pytest.approx(want, rel=1e-12)
-
-
 def test_appendix_identity_f1():
     for r in (2, 3, 4, 5):
         for (xi, ks) in ((0.5, 1.0), (1.0, 3.0)):
@@ -173,27 +150,29 @@ def test_integrate_0_inf_known_values():
 
 
 def test_sum_series_with_tail_zeta():
-    assert sum_series_with_tail(lambda r: 1.0 / r**2, 10000) == pytest.approx(
+    assert sum_series_with_tail(lambda r: 1.0 / r**2) == pytest.approx(
         PI2 / 6.0, rel=1e-11
     )
-    assert sum_series_with_tail(lambda r: 1.0 / r**4, 10000) == pytest.approx(
+    assert sum_series_with_tail(lambda r: 1.0 / r**4) == pytest.approx(
         math.pi**4 / 90.0, rel=1e-11
     )
 
 
+
 # ---------------------------------------------------------------------------
-# reconstructions (small r_max smoke; full precision in acceptance suite)
+# layering
 # ---------------------------------------------------------------------------
 
-def test_reconstruct_leading_coefficients_smoke():
-    b = beta_bundle()
-    for pol, beta_dp in ((TE, b.beta_d_te), (TM, b.beta_d_tm)):
-        lead, const = reconstruct_e_p0_coefficients(pol, r_max=2000)
-        assert lead == pytest.approx(-math.pi**3 / 1440.0, rel=1e-8)
-        assert const == pytest.approx(-math.pi**3 * beta_dp / 720.0, rel=1e-7)
-
-
-def test_reconstruct_beta_go_smoke():
-    assert reconstruct_beta_go(r_max=2000) == pytest.approx(
-        beta_bundle().beta_go, rel=1e-7
+def test_import_loads_no_round_trip_layer():
+    # the analytic layer states closed forms only; a fresh interpreter that
+    # imports it must load neither the round-trip element nor the solver
+    src = str(pathlib.Path(planesphere.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import planesphere.asymptotics; "
+        "print(sorted(m for m in sys.modules if m.startswith('planesphere')))"
     )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "planesphere.asymptotics" in loaded
+    assert not loaded & {"planesphere.reflection", "planesphere.solver"}

@@ -1,12 +1,21 @@
 """Command-line interface: report shape, serialization, exit codes."""
+import csv
+import io
 import json
 import math
+import re
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from planesphere.cli import emit_csv, emit_json, main, parse_csv
+from planesphere.cli import emit_csv, emit_json, main
+from planesphere.core import Geometry
+from planesphere.solver import QuadratureConfig
+
+
+def read_csv(text):
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 def run_cli(capsys, *argv):
@@ -20,7 +29,7 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 
 def test_emit_csv_empty_round_trips_to_empty():
-    assert parse_csv(emit_csv([])) == []
+    assert read_csv(emit_csv([])) == []
 
 
 def test_emit_csv_single_report_has_header_and_row():
@@ -40,7 +49,7 @@ def test_emit_csv_rejects_heterogeneous_rows():
 flat_values = st.one_of(
     st.integers(min_value=-10**6, max_value=10**6),
     st.floats(allow_nan=False, allow_infinity=False, width=64),
-    # keep the alphabet non-numeric so parse_csv leaves the cell a string
+    # keep the alphabet non-numeric so a string cell cannot read as a number
     st.text(st.sampled_from("xyzw_"), min_size=1, max_size=8),
 )
 
@@ -51,7 +60,7 @@ flat_values = st.one_of(
 ), st.integers(min_value=1, max_value=3))
 def test_csv_round_trip(report, n_rows):
     reports = [dict(report) for _ in range(n_rows)]
-    back = parse_csv(emit_csv(reports))
+    back = read_csv(emit_csv(reports))
     assert len(back) == n_rows
     for orig, rec in zip(reports, back):
         for key, val in orig.items():
@@ -120,7 +129,7 @@ def test_energy_csv_format_parses_back(capsys):
         "--format", "csv",
     )
     assert code == 0
-    rows = parse_csv(out)
+    rows = read_csv(out)
     assert len(rows) == 1
     assert float(rows[0]["energy_hbar_c_over_L"]) < 0.0
 
@@ -143,7 +152,7 @@ def test_trace_terms_csv_shape(capsys):
         "--format", "csv",
     )
     assert code == 0
-    rows = parse_csv(out)
+    rows = read_csv(out)
     assert len(rows) == 6  # 2 u-values x r = 1..3
     for row in rows:
         assert {"u", "r", "leading_TE", "leading_TM", "ntlo_per_pol"} <= set(row)
@@ -158,6 +167,59 @@ def test_beta_fit_synthetic(tmp_path, capsys):
     report = json.loads(out)
     assert len(report["samples"]) == 2
     assert report["beta_estimate"] < 0.0
+
+
+def test_beta_fit_records_resolved_quadrature(capsys):
+    # each sample carries the sizes it ran with (flags, else the automatic
+    # choice for its R/L) and the report the worker count, so the report
+    # reproduces from its own content
+    code, out, _ = run_cli(
+        capsys, "beta-fit", "--kernel", "wkb0", "--ratios", "30,60",
+        "--model", "linear", "--n-xi", "12", "--n-radial", "20",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["threads"] == 1
+    for sample in report["samples"]:
+        auto = QuadratureConfig.auto(Geometry(R=sample["aspect_ratio"], L=1.0))
+        assert sample["n_xi"] == 12
+        assert sample["n_radial"] == 20
+        assert sample["n_azimuthal"] == auto.n_azimuthal
+
+
+PLAIN_LABEL = re.compile(r"[A-Za-z0-9_.*/+-]+")
+
+
+def assert_flat_cells(text):
+    rows = read_csv(text)
+    assert len(rows) == 1
+    for column, cell in rows[0].items():
+        try:
+            float(cell)
+        except ValueError:
+            assert PLAIN_LABEL.fullmatch(cell), (column, cell)
+
+
+def test_beta_fit_csv_cells_are_numbers_or_labels(capsys):
+    code, out, _ = run_cli(
+        capsys, "beta-fit", "--kernel", "wkb0", "--ratios", "30,60",
+        "--model", "linear", "--format", "csv",
+    )
+    assert code == 0
+    assert_flat_cells(out)
+    row = read_csv(out)[0]
+    assert float(row["samples.1.aspect_ratio"]) == 60.0
+    assert 0.0 < float(row["samples.0.ratio_to_pfa"]) < 1.05
+
+
+def test_beta_csv_indexes_table_percentages(capsys):
+    code, out, _ = run_cli(capsys, "beta", "--format", "csv")
+    assert code == 0
+    assert_flat_cells(out)
+    row = read_csv(out)[0]
+    assert [float(row[f"table_percentages.{i}"]) for i in range(4)] == [
+        74.8, 15.0, 5.1, 5.1
+    ]
 
 
 def test_out_writes_file(tmp_path, capsys):

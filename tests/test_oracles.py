@@ -14,6 +14,7 @@ from planesphere.oracles import (
     brute_force_trace,
     d_pq_classes,
     f_phase,
+    g_function,
     g_scalar,
     hessian_counter_diagonal,
     numeric_F1,
@@ -23,6 +24,7 @@ from planesphere.oracles import (
     w_direction,
     w_matrix,
 )
+from planesphere.reflection import KernelKind, sphere_element
 
 
 def test_w_matrix_unitary():
@@ -78,6 +80,58 @@ def test_g_scalar_value():
     kappa = 2.0
     want = (math.exp(-2.0 * kappa) / kappa) ** 3
     assert complex(g_scalar(xi, cfg)).real == pytest.approx(want, rel=1e-13)
+
+
+def test_g_function_on_saddle_matches_closed_form():
+    # order 0 on the saddle: both polarization chains survive with weight
+    # prod_j e^{-2 kappa L} / kappa each, so g = 2 (e^{-2 kappa L}/kappa)^r
+    xi, k = 0.8, 1.5
+    kappa = math.hypot(xi, k)
+    for r in (1, 2, 3, 13):
+        config = np.zeros((r, 2))
+        config[:, 0] = k
+        want = 2.0 * (math.exp(-2.0 * kappa) / kappa) ** r
+        assert g_function(xi, config) == pytest.approx(want, rel=1e-12)
+
+
+def test_g_function_collinear_off_saddle():
+    # with every k_y = 0 the channels share one scattering plane, so the
+    # polarizations do not mix and both chains carry prod_j e^{-2 kappa_j}/kappa_j
+    # (a leg that reverses k_x flips the sign of both channels; a closed loop
+    # reverses an even number of times)
+    rng = np.random.default_rng(5)
+    for r in range(1, 9):
+        for _ in range(5):
+            xi = rng.uniform(0.2, 2.0)
+            config = np.zeros((r, 2))
+            config[:, 0] = rng.uniform(0.05, 3.0, size=r) * rng.choice([-1.0, 1.0], size=r)
+            kap = np.hypot(xi, config[:, 0])
+            want = 2.0 * math.prod(math.exp(-2.0 * q) / q for q in kap)
+            assert g_function(xi, config) == pytest.approx(want, rel=1e-10)
+
+
+def per_leg_g(xi, config):
+    """g_function's transfer-matrix trace, one scalar sphere element per leg."""
+    r = len(config)
+    chain = np.eye(2)
+    for j in range(r):
+        (ax, ay), (bx, by) = config[j], config[(j + 1) % r]
+        el = sphere_element(xi, math.hypot(ax, ay), math.hypot(bx, by),
+                            math.atan2(by, bx) - math.atan2(ay, ax), 1.0, KernelKind.WKB0)
+        rho = np.array([[el.mm, el.me], [el.em, el.ee]], dtype=float) / math.pi
+        kap = math.hypot(xi, math.hypot(ax, ay))
+        chain = (rho * np.array([1.0, -1.0]) * math.exp(-2.0 * kap) / kap) @ chain
+    return float(np.trace(chain))
+
+
+def test_g_function_matches_per_leg_chain():
+    # off the saddle and out of plane, where the polarizations mix
+    rng = np.random.default_rng(9)
+    for r in range(1, 9):
+        for _ in range(5):
+            xi = rng.uniform(0.1, 2.0)
+            config = rng.uniform(-3.0, 3.0, size=(r, 2))
+            assert g_function(xi, config) == pytest.approx(per_leg_g(xi, config), rel=1e-12)
 
 
 def test_hessian_counter_diagonal_structure():

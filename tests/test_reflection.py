@@ -5,24 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from planesphere.core import Polarization, SpectralPoint
 from planesphere.mie import ExactAmplitudes
 from planesphere.reflection import (
     KernelKind,
     abcd_arrays,
     chi_components,
-    plane_reflection,
     round_trip_element,
     sphere_element,
 )
 
-TM, TE = Polarization.TM, Polarization.TE
 CHANNELS = ("mm", "ee", "me", "em")  # (out, in): TM<-TM, TE<-TE, TM<-TE, TE<-TM
 
 
-def element(a: SpectralPoint, b: SpectralPoint, kind: KernelKind, R: float):
-    """sphere_element for in=a -> out=b."""
-    return sphere_element(a.xi, a.k, b.k, b.phi_az - a.phi_az, R, kind)
+def element(xi: float, a: tuple, b: tuple, kind: KernelKind, R: float):
+    """sphere_element for in=a -> out=b, channels given as (k, phi)."""
+    return sphere_element(xi, a[0], b[0], b[1] - a[1], R, kind)
 
 
 def reference_chi(xi, k_in, k_out, phi_i, phi_o):
@@ -101,21 +98,16 @@ def test_specular_and_backward_limits():
 
 def test_coplanar_channels_do_not_mix():
     # dphi = 0 with k_in != k_out: rotation is trivial, C = D = 0
-    a = SpectralPoint(xi=0.9, k=0.7)
-    b = SpectralPoint(xi=0.9, k=2.1)
-    A, B, C, D = abcd_arrays(a.xi, a.k, b.k, a.kappa, b.kappa, 0.0)
+    xi, k_a, k_b = 0.9, 0.7, 2.1
+    kap_a, kap_b = math.hypot(xi, k_a), math.hypot(xi, k_b)
+    A, B, C, D = abcd_arrays(xi, k_a, k_b, kap_a, kap_b, 0.0)
     assert C == pytest.approx(0.0, abs=1e-14)
     assert D == pytest.approx(0.0, abs=1e-14)
     assert A == pytest.approx(1.0, rel=1e-12)
     for kind in KernelKind:
-        el = element(a, b, kind, 2.0)
-        assert el.em / b.kappa == pytest.approx(0.0, abs=1e-13)  # TE out <- TM in
-        assert el.me / b.kappa == pytest.approx(0.0, abs=1e-13)
-
-
-def test_plane_reflection_signs():
-    assert plane_reflection(TM) == 1.0
-    assert plane_reflection(TE) == -1.0
+        el = sphere_element(xi, k_a, k_b, 0.0, 2.0, kind)
+        assert el.em / kap_b == pytest.approx(0.0, abs=1e-13)  # TE out <- TM in
+        assert el.me / kap_b == pytest.approx(0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("kind", list(KernelKind))
@@ -129,29 +121,29 @@ def test_reciprocity(kind):
     R = 3.0
     for _ in range(40):
         xi = rng.uniform(0.3, 2.0)
-        a = SpectralPoint(xi=xi, k=rng.uniform(0.05, 4.0), phi_az=rng.uniform(0, 2 * math.pi))
-        b = SpectralPoint(xi=xi, k=rng.uniform(0.05, 4.0), phi_az=rng.uniform(0, 2 * math.pi))
+        a = (rng.uniform(0.05, 4.0), rng.uniform(0, 2 * math.pi))
+        b = (rng.uniform(0.05, 4.0), rng.uniform(0, 2 * math.pi))
         # sphere_element already carries the kappa_out of the element
-        fwd = element(a, b, kind, R)
-        rev = element(b, a, kind, R)
+        fwd = element(xi, a, b, kind, R)
+        rev = element(xi, b, a, kind, R)
         shift = math.exp(fwd.log_scale - rev.log_scale)
         for channel in ("mm", "ee"):
             lhs = getattr(fwd, channel) * shift
             assert lhs == pytest.approx(getattr(rev, channel), rel=1e-10)
         # <b,TE|R_S|a,TM> against <a,TM|R_S|b,TE>
-        if abs(fwd.em / b.kappa) > 1e-12:
+        if abs(fwd.em / math.hypot(xi, b[0])) > 1e-12:
             assert fwd.em * shift == pytest.approx(-rev.me, rel=1e-9)
 
 
 def test_specular_element_reduces_to_amplitudes():
     xi, k, R = 1.1, 1.8, 2.5
-    pt = SpectralPoint(xi=xi, k=k)
-    z = -(pt.kappa**2 + k * k) / xi**2
+    kappa = math.hypot(xi, k)
+    z = -(kappa**2 + k * k) / xi**2
     mant_perp, mant_par, log_acc = ExactAmplitudes(xi, R)(np.array([z]))
-    pref = 2.0 * math.pi / (xi * pt.kappa)
-    el = element(pt, pt, KernelKind.EXACT_MIE, R)
-    log_mm = math.log(abs(el.mm / pt.kappa)) + el.log_scale
-    log_ee = math.log(abs(el.ee / pt.kappa)) + el.log_scale
+    pref = 2.0 * math.pi / (xi * kappa)
+    el = sphere_element(xi, k, k, 0.0, R, KernelKind.EXACT_MIE)
+    log_mm = math.log(abs(el.mm / kappa)) + el.log_scale
+    log_ee = math.log(abs(el.ee / kappa)) + el.log_scale
     assert log_mm == pytest.approx(
         math.log(pref) + math.log(abs(mant_par[0])) + log_acc[0], abs=1e-11
     )
@@ -165,10 +157,10 @@ def test_specular_element_reduces_to_amplitudes():
 def test_wkb_element_exponent():
     # the log scale of the WKB element is 2 xi R sin(Theta/2), with
     # cos(Theta) = -(kappa_a kappa_b + k_a.k_b)/xi^2
-    a = SpectralPoint(xi=0.7, k=1.2, phi_az=0.3)
-    b = SpectralPoint(xi=0.7, k=2.6, phi_az=1.4)
-    el = element(a, b, KernelKind.WKB0, 4.0)
-    z = -(a.kappa * b.kappa + a.k * b.k * math.cos(b.phi_az - a.phi_az)) / 0.7**2
+    xi, (k_a, phi_a), (k_b, phi_b) = 0.7, (1.2, 0.3), (2.6, 1.4)
+    el = element(xi, (k_a, phi_a), (k_b, phi_b), KernelKind.WKB0, 4.0)
+    z = -(math.hypot(xi, k_a) * math.hypot(xi, k_b)
+          + k_a * k_b * math.cos(phi_b - phi_a)) / 0.7**2
     assert el.log_scale == pytest.approx(
         2.0 * 0.7 * 4.0 * math.sqrt(0.5 * (1.0 - z)), rel=1e-14
     )
@@ -181,15 +173,12 @@ def test_azimuth_origin_invariance():
         xi = 0.8
         k1, k2 = 1.3, 2.4
         p1, p2 = 0.4, 2.1
-        a0 = SpectralPoint(xi=xi, k=k1, phi_az=p1)
-        b0 = SpectralPoint(xi=xi, k=k2, phi_az=p2)
-        a1 = SpectralPoint(xi=xi, k=k1, phi_az=p1 + shift)
-        b1 = SpectralPoint(xi=xi, k=k2, phi_az=p2 + shift)
-        e0 = element(a0, b0, kind, 3.0)
-        e1 = element(a1, b1, kind, 3.0)
+        kap_b = math.hypot(xi, k2)
+        e0 = element(xi, (k1, p1), (k2, p2), kind, 3.0)
+        e1 = element(xi, (k1, p1 + shift), (k2, p2 + shift), kind, 3.0)
         for channel in CHANNELS:
-            got = getattr(e1, channel) / b1.kappa * math.exp(e1.log_scale - e0.log_scale)
-            assert got == pytest.approx(getattr(e0, channel) / b0.kappa, rel=1e-12, abs=1e-15)
+            got = getattr(e1, channel) / kap_b * math.exp(e1.log_scale - e0.log_scale)
+            assert got == pytest.approx(getattr(e0, channel) / kap_b, rel=1e-12, abs=1e-15)
 
 
 def test_symmetrized_element_is_finite_and_damped():
@@ -204,22 +193,34 @@ def test_symmetrized_element_is_finite_and_damped():
 def test_symmetrized_trace_pairs_match_raw_product():
     # similarity factors cancel in closed loops: sym(a->b) sym(b->a) equals
     # the raw damped product, independent of the kappa ratio convention
-    rho = 2.0
-    a = SpectralPoint(xi=1.0, k=0.8, phi_az=0.2)
-    b = SpectralPoint(xi=1.0, k=1.9, phi_az=1.1)
-    dphi = b.phi_az - a.phi_az
+    rho, xi = 2.0, 1.0
+    a, b = (0.8, 0.2), (1.9, 1.1)
+    kap_a, kap_b = math.hypot(xi, a[0]), math.hypot(xi, b[0])
+    dphi = b[1] - a[1]
     for kind in KernelKind:
-        s_ab = round_trip_element(a.xi, a.k, b.k, dphi, rho, kind)
-        s_ba = round_trip_element(a.xi, b.k, a.k, -dphi, rho, kind)
+        s_ab = round_trip_element(xi, a[0], b[0], dphi, rho, kind)
+        s_ba = round_trip_element(xi, b[0], a[0], -dphi, rho, kind)
         sym = s_ab.mm * np.exp(s_ab.log_scale) * s_ba.mm * np.exp(s_ba.log_scale)
         # raw elements <out|R_S|in>, without the plane's TM coefficient (+1)
-        e_ab = element(a, b, kind, rho)
-        e_ba = element(b, a, kind, rho)
+        e_ab = element(xi, a, b, kind, rho)
+        e_ba = element(xi, b, a, kind, rho)
         raw = (
-            e_ab.mm / b.kappa * e_ba.mm / a.kappa
+            e_ab.mm / kap_b * e_ba.mm / kap_a
             * math.exp(
                 e_ab.log_scale + e_ba.log_scale
-                - 2.0 * (a.kappa + b.kappa) * (1.0 + rho)
+                - 2.0 * (kap_a + kap_b) * (1.0 + rho)
             )
         )
         assert sym == pytest.approx(raw, rel=1e-12)
+
+
+def test_round_trip_element_applies_plane_fresnel_signs():
+    # the plane reflects the incoming channel with +1 (TM) or -1 (TE): the
+    # round-trip element is the sphere element with the TE-in channels negated
+    xi, a, b = 0.9, (0.6, 0.3), (1.7, 1.9)
+    for kind in KernelKind:
+        el = element(xi, a, b, kind, 2.0)
+        rt = round_trip_element(xi, a[0], b[0], b[1] - a[1], 2.0, kind)
+        for channel, sign in (("mm", 1.0), ("em", 1.0), ("ee", -1.0), ("me", -1.0)):
+            assert getattr(el, channel) != 0.0
+            assert getattr(rt, channel) == sign * getattr(el, channel)
