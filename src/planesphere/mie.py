@@ -83,11 +83,17 @@ class ExactAmplitudes:
     and nothing is rescaled during the sum; terms too small to register on
     it underflow to 0.
 
-    Convergence: summation continues until the current term is below
-    `TOL` times the running sum for three consecutive ell on every array
-    element (past the coefficient peak the terms decay faster than
-    geometrically, so this certifies the tail at the same level).  An
-    element whose sum is still 0 has not converged.
+    Convergence is decided per element: an element is done once ell > x
+    and its term has been below `TOL` times its running sum for three
+    consecutive ell.  Past the coefficient peak the terms decay faster than
+    geometrically, so this bounds the tail near that level; at x = 300 and
+    |z| ~ 1e4, summing on moves a converged element by up to 1.2e-12.  A
+    sum that is still 0 has not converged.  The ell an element needs grows
+    with |z|, so the elements are summed in order of ascending |z| and
+    those still being summed are a suffix: after every ell the suffix
+    starts past the leading run of converged elements, and the sum ends
+    when it is empty.  An element behind an unconverged one is summed on
+    and must still be converged when the suffix start reaches it.
     """
 
     GROWTH = 2.0
@@ -119,6 +125,27 @@ class ExactAmplitudes:
         # dominant ell grows like x * sqrt((|z|+1)/2) (impact parameter)
         return int(3.0 * self.x * math.sqrt((abs(z_extreme) + 1.0) / 2.0)) + 4000
 
+    def _terms(self, ell, rec, log_scale, t_perp, t_par, w, tmp) -> None:
+        """Write the terms of order ell into t_perp and t_par (w, tmp: work space).
+
+        term = w (ka pi + kb tau) and w (ka tau + kb pi), with
+        w = |a_ell| q^(ell-1) / e^(log_scale) and kb/ka = b_ell/a_ell.
+        """
+        c_ell = (2.0 * ell + 1.0) / (ell * (ell + 1.0))
+        log_a = self._log_a[ell - 1]
+        ka = c_ell * self._sign_a[ell - 1]
+        kb = c_ell * self._sign_b[ell - 1] * math.exp(self._log_b[ell - 1] - log_a)
+        np.multiply(rec.ell - 1, rec.log_q, out=w)   # rec.log_offset
+        w -= log_scale
+        w += log_a
+        np.exp(w, out=w)
+        np.multiply(ka, rec.pi, out=t_perp)
+        t_perp += np.multiply(kb, rec.tau, out=tmp)
+        t_perp *= w
+        np.multiply(ka, rec.tau, out=t_par)
+        t_par += np.multiply(kb, rec.pi, out=tmp)
+        t_par *= w
+
     def __call__(self, z: np.ndarray):
         """Scaled amplitudes at cos(Theta) = z (array, z <= -1).
 
@@ -131,40 +158,62 @@ class ExactAmplitudes:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if np.any(z > -1.0 + 1e-9):
             raise ValueError("amplitudes require cos(Theta) <= -1")
-        z = np.minimum(z, -1.0)  # clip roundoff from the kinematic bound
-        cap = self._cap_for(float(np.min(z)))
-        rec = AngularRecurrence(z)
+        # |z| ascending (z descending); the caller's order is restored below
+        order = np.argsort(-z, kind="stable")
+        z = z[order]
+        np.minimum(z, -1.0, out=z)  # clip roundoff from the kinematic bound
         log_scale = 2.0 * self.x * np.sqrt(0.5 * (1.0 - z))
-        acc_perp = np.zeros_like(z)
-        acc_par = np.zeros_like(z)
-        calm = 0
+        sums = self._sum(z, log_scale)
+        out = tuple(np.empty_like(z) for _ in range(3))
+        for dest, values in zip(out, (*sums, log_scale)):
+            dest[order] = values
+        return out
+
+    def _sum(self, z, log_scale):
+        """The sums (perp, par) at z sorted by ascending |z|."""
+        cap = self._cap_for(float(z[-1]))
+        rec = AngularRecurrence(z)
+        # the loop works in place on slices of these, allocated once; one
+        # array per row rather than a 2-D block, which measured more
+        # resident memory after the call
+        acc = [np.zeros_like(z) for _ in range(2)]
+        work = [np.empty_like(z) for _ in range(4)]
+        calm = np.zeros(z.size, dtype=np.int8)   # consecutive calm ell, up to 3
+        flags = np.empty(z.size, dtype=bool)
+        start = 0   # elements before start have converged and are dropped
         ell = 1
         while True:
             if ell > self._n_coeff:
                 self._extend(min(cap, max(int(self._n_coeff * self.GROWTH), ell + 64)))
-            # term = w (ka pi + kb tau) and w (ka tau + kb pi), with
-            # w = |a_ell| q^(ell-1) / e^(log_scale) and kb/ka = b_ell/a_ell
-            c_ell = (2.0 * ell + 1.0) / (ell * (ell + 1.0))
-            log_a = self._log_a[ell - 1]
-            ka = c_ell * self._sign_a[ell - 1]
-            kb = c_ell * self._sign_b[ell - 1] * math.exp(self._log_b[ell - 1] - log_a)
-            w = np.exp(rec.log_offset - log_scale + log_a)
-            t_perp = w * (ka * rec.pi + kb * rec.tau)
-            t_par = w * (ka * rec.tau + kb * rec.pi)
-            acc_perp += t_perp
-            acc_par += t_par
+            sum_perp, sum_par = (a[start:] for a in acc)
+            t_perp, t_par, w, tmp = (a[start:] for a in work)
+            self._terms(ell, rec, log_scale[start:], t_perp, t_par, w, tmp)
+            sum_perp += t_perp
+            sum_par += t_par
             if ell > self.x:
-                term = np.abs(t_perp) + np.abs(t_par)
-                total = np.abs(acc_perp) + np.abs(acc_par)
+                term = np.abs(t_perp, out=t_perp)
+                term += np.abs(t_par, out=t_par)
+                total = np.abs(sum_perp, out=w)
+                total += np.abs(sum_par, out=tmp)
                 # strict: a sum that is still 0 is never calm
-                calm = calm + 1 if np.all(term < self.TOL * total) else 0
-                if calm >= 3:
-                    break
+                settled = np.less(term, np.multiply(self.TOL, total, out=tmp),
+                                  out=flags[start:])
+                held = calm[start:]
+                held += 1
+                held *= settled
+                np.minimum(held, 3, out=held)
+                live = np.less(held, 3, out=settled)
+                if not live.any():
+                    return acc
+                done = int(live.argmax())
+                start += done
+                rec.drop_front(done)
             if ell >= cap:
                 worst = math.inf
                 if ell > self.x:
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        worst = float(np.max(np.where(total > 0.0, term / total, math.inf)))
+                        ratio = np.where(total > 0.0, term / total, math.inf)
+                    worst = float(np.max(ratio[live]))
                 raise TruncationError(
                     f"partial-wave sum not converged by ell={ell} (x={self.x})",
                     ell,
@@ -172,7 +221,6 @@ class ExactAmplitudes:
                 )
             rec.advance()
             ell += 1
-        return acc_perp, acc_par, log_scale
 
 
 def wkb_diffraction_s(xi, p_diff):

@@ -175,7 +175,13 @@ class AngularRecurrence:
     1/q is applied as a factor of its own: folding z/q into one rounded
     coefficient would perturb z, which pi_ell near z = -1 amplifies ~ell^2.
     Used as the inner loop of the exact partial-wave sums, where z is an
-    array over quadrature nodes.
+    array over quadrature nodes.  `advance` works in place on four buffers
+    (pi_prev, pi, tau and one spare) and allocates nothing, so a sum whose
+    arrays shrink as it goes does not fragment the heap with ever smaller
+    arrays.  The elements are independent of one another: `drop_front`
+    stops carrying the first n of them (the sum drops elements as they
+    converge) while the rest continue unchanged, and `z` is always the
+    array of the elements still carried.
     """
 
     def __init__(self, z: np.ndarray):
@@ -191,17 +197,38 @@ class AngularRecurrence:
         self.pi_prev = np.zeros_like(z)   # pi_0
         self.pi = np.ones_like(z)         # pi_1
         self.tau = z.copy()               # tau_1 = z
+        self._spare = np.empty_like(z)
 
     @property
     def log_offset(self) -> np.ndarray:
         """log of the factor q^(ell-1) divided out of pi, pi_prev and tau."""
         return (self.ell - 1) * self.log_q
 
+    def drop_front(self, n: int) -> None:
+        """Stop carrying the first n elements; the held arrays become views."""
+        self.z = self.z[n:]
+        self.inv_q = self.inv_q[n:]
+        self.log_q = self.log_q[n:]
+        self.pi_prev = self.pi_prev[n:]
+        self.pi = self.pi[n:]
+        self.tau = self.tau[n:]
+        self._spare = self._spare[n:]
+
     def advance(self) -> None:
         ell = self.ell + 1
-        pi_cur = self.pi * self.inv_q
-        pi_prev = self.pi_prev * self.inv_q
-        self.pi = ((2 * ell - 1) * self.z * pi_cur - ell * pi_prev) / (ell - 1)
-        self.pi_prev = pi_cur
-        self.tau = ell * self.z * self.pi - (ell + 1) * pi_cur
+        pi_cur, pi_prev, new_pi, new_tau = self.pi, self.pi_prev, self.tau, self._spare
+        pi_cur *= self.inv_q
+        pi_prev *= self.inv_q
+        # pi = ((2 ell - 1) z pi_cur - ell pi_prev) / (ell - 1)
+        np.multiply(2 * ell - 1, self.z, out=new_pi)
+        new_pi *= pi_cur
+        pi_prev *= ell
+        new_pi -= pi_prev
+        new_pi /= ell - 1
+        # tau = ell z pi - (ell + 1) pi_cur; pi_prev's buffer is free again
+        np.multiply(ell, self.z, out=new_tau)
+        new_tau *= new_pi
+        np.multiply(ell + 1, pi_cur, out=pi_prev)
+        new_tau -= pi_prev
+        self.pi_prev, self.pi, self.tau, self._spare = pi_cur, new_pi, new_tau, pi_prev
         self.ell = ell

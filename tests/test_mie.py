@@ -74,6 +74,68 @@ def test_amplitudes_against_fixtures():
             assert math.copysign(1.0, got) == math.copysign(1.0, mant)
 
 
+def test_amplitudes_against_fixtures_in_one_call_per_x():
+    # the rows of one x summed together: an element that converges early
+    # leaves the batch while the others are still being summed
+    by_x = {}
+    for perp_row, par_row in zip(load_fixtures("s_perp"), load_fixtures("s_par")):
+        x_str, z_str = perp_row[1].split("|")
+        by_x.setdefault(float(x_str), []).append((float(z_str), perp_row, par_row))
+    assert max(len(rows) for rows in by_x.values()) > 1
+    for x, rows in by_x.items():
+        mant_perp, mant_par, log_acc = ExactAmplitudes(x, 1.0)(np.array([z for z, _, _ in rows]))
+        for i, (_, perp_row, par_row) in enumerate(rows):
+            for got, (_, _, mant, log_scale) in ((mant_perp[i], perp_row), (mant_par[i], par_row)):
+                assert math.log(abs(got)) + log_acc[i] == pytest.approx(
+                    math.log(abs(mant)) + log_scale, abs=1e-10
+                )
+                assert math.copysign(1.0, got) == math.copysign(1.0, mant)
+
+
+@pytest.mark.parametrize("x", [1.0, 7.0, 60.0])
+def test_amplitudes_independent_of_order_and_batch(x):
+    rng = np.random.default_rng(int(x))
+    z = -np.concatenate([[1.0, 1.0, 1.0 + 1e-12, 1e4, 1e4], 10.0 ** rng.uniform(0.0, 4.0, 20)])
+    z = np.concatenate([z, z[5:11]])   # repeated values
+    mant_perp, mant_par, log_scale = ExactAmplitudes(x, 1.0)(z)
+    perm = rng.permutation(z.size)
+    shuffled = ExactAmplitudes(x, 1.0)(z[perm])
+    for got, want in zip(shuffled, (mant_perp, mant_par, log_scale)):
+        np.testing.assert_array_equal(got, want[perm])
+    amps = ExactAmplitudes(x, 1.0)
+    for i, zi in enumerate(z):
+        one_perp, one_par, one_scale = amps(np.array([zi]))
+        assert one_scale[0] == log_scale[i]
+        assert mant_perp[i] == pytest.approx(one_perp[0], rel=1e-13, abs=0.0)
+        assert mant_par[i] == pytest.approx(one_par[0], rel=1e-13, abs=0.0)
+
+
+def test_each_element_stops_after_its_own_three_calm_terms(monkeypatch):
+    """Synthetic terms: L is loud, C is below TOL times the sum; x < 1.
+
+    z = -1 is calm at ell = 2, 3, 4 and leaves then; z = -2 is calm only at
+    ell = 6, 7, 8; z = -3 is calm from ell = 2 on but sits behind z = -2
+    in the |z| order, so it is summed until that one leaves at ell = 8.
+    """
+    loud, calm = 2.0 ** -10, 2.0 ** -60
+    patterns = {-1.0: "LCCC", -2.0: "LCLCLCCC", -3.0: "LCCCCCCC"}
+    stops = {-1.0: 4, -2.0: 8, -3.0: 8}
+
+    def term(z, ell):
+        pattern = patterns[z]
+        return loud if ell <= len(pattern) and pattern[ell - 1] == "L" else calm
+
+    def fake_terms(self, ell, rec, log_scale, t_perp, t_par, w, tmp):
+        t_perp[:] = t_par[:] = [term(z, ell) for z in rec.z]
+
+    monkeypatch.setattr(ExactAmplitudes, "_terms", fake_terms)
+    z = np.array([-2.0, -3.0, -1.0])
+    mant_perp, mant_par, _ = ExactAmplitudes(1e-3, 1.0)(z)
+    want = [sum(term(zi, ell) for ell in range(1, stops[zi] + 1)) for zi in z]
+    np.testing.assert_array_equal(mant_perp, want)
+    np.testing.assert_array_equal(mant_par, want)
+
+
 def test_amplitudes_wkb_limit():
     """Exact partial-wave sums approach the WKB form as x -> infinity.
 
@@ -148,6 +210,21 @@ def test_truncation_error_raised_on_tiny_cap(monkeypatch):
     amps = ExactAmplitudes(5.0, 1.0)
     with pytest.raises(TruncationError):
         amps(np.array([-30.0]))
+
+
+def test_truncation_error_judges_only_unconverged_elements(monkeypatch):
+    # at x = 5 the elements up to |z| = 3 converge by ell = 25; z = -1e4
+    # needs far more than the cap of 60, and the error reports it alone
+    monkeypatch.setattr(ExactAmplitudes, "_cap_for", lambda self, z_extreme: 60)
+    amps = ExactAmplitudes(5.0, 1.0)
+    with pytest.raises(TruncationError) as alone:
+        amps(np.array([-1e4]))
+    with pytest.raises(TruncationError) as mixed:
+        amps(np.array([-1e4, -1.0, -1.5, -3.0]))
+    assert mixed.value.ell_reached == 60
+    assert math.isfinite(mixed.value.worst_rel)
+    assert mixed.value.worst_rel > ExactAmplitudes.TOL
+    assert mixed.value.worst_rel == alone.value.worst_rel
 
 
 def test_amplitude_scale_tracks_wkb_growth():
