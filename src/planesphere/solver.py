@@ -23,6 +23,25 @@ in=b -> out=a, and equally of minus the TE <- TM channel for in=a -> out=b.
 Determinants and traces are invariant under these similarities, which the
 test suite checks against a direct complex construction.
 
+Windowed sampling.  With eta(dphi) = kappa_a + kappa_b - sqrt(2(xi^2 +
+kappa_a kappa_b + k_a k_b cos dphi)), every weighted entry of the radial pair
+(a, b) is bounded in log by c_ab - rho eta(dphi), where c_ab collects the
+radial weights, the translations, -ln(kappa_a kappa_b)/2 and the mantissa
+bound ln(4 pi (rho + 1)).  eta grows monotonically in dphi on [0, pi], so
+the samples above e^PRUNE_LOG_CUTOFF form a leading window [0, w) of
+columns, whose end is solved in closed form per pair; a pair with w = 0 is
+dropped, and the samples beyond the window are taken as 0.  The kept pairs
+are sorted by w and processed in chunks of about CHUNK_SAMPLES samples, each
+sampled on its widest window: round_trip_element, the scale and the
+transform see only those columns.  For exact-mie the amplitudes of all
+chunks still come from one partial-wave sum per xi.  One inverse real FFT
+serves each pair of channels, (MM, X_ij) and (EE, X_ji): the cosine and sine
+coefficients are the even and odd parts in m of its output.
+
+Live radial nodes.  A node that lies in no kept pair has a zero row and
+column in every block and adds ln 1 = 0 to its log det, so the energy path
+assembles and factors each block over the live nodes only.
+
 Closed-form log-det.  Most blocks of high m are tiny.  For symmetric M with
 Frobenius norm f < 1, 1 - M is positive definite, tr M^2 = f^2, and the
 Mercator tail obeys |sum_{r>=3} tr M^r / r| <= sum_{r>=3} ||M||_2^{r-2} f^2 / r
@@ -30,7 +49,8 @@ Mercator tail obeys |sum_{r>=3} tr M^r / r| <= sum_{r>=3} ||M||_2^{r-2} f^2 / r
 w_m f^3 / (3 (1 - f)) is at most CLOSED_FORM_TAIL |ln det(1 - M_0)| therefore
 adds w_m (-tr M_m - f^2/2), read off the Fourier coefficients, and is
 neither assembled nor factored; every other block goes through a Cholesky
-factorization.
+factorization.  Where that of M_0 rounds to exactly 0 (all entries below
+1e-16), the share is taken of the closed form of M_0 instead.
 
 All exponentially large and small factors combine in log space before
 exponentiation: the WKB growth 2 xi R sin(Theta/2) never exceeds the
@@ -52,7 +72,7 @@ import numpy as np
 
 from .asymptotics import e_pfa
 from .core import Geometry
-from .reflection import KernelKind, round_trip_element
+from .reflection import Amplitudes, KernelKind, _amplitudes, _p_diff, round_trip_element
 from .reflection import chi_components  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 
@@ -64,13 +84,18 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-# pair pruning: a radial pair is dropped when the bound on the log of its
-# kernel entries is below this (e^-46 ~ 1e-20)
+# windowed sampling: a (pair, dphi) sample is computed only where the bound
+# on the log of its kernel entries exceeds this (e^-46 ~ 1e-20), and a
+# radial pair with no such sample is dropped
 PRUNE_LOG_CUTOFF = -46.0
 
 # azimuthal truncation: the sum stops before the first m >= 1 whose block
 # Frobenius norm is below this share of the m=0 block's
 NORM_CUTOFF = 1e-10
+
+# kernel sampling: the kept pairs are sampled and transformed in chunks of
+# about this many (pair, dphi) samples
+CHUNK_SAMPLES = 1 << 14
 
 # closed-form log-det: a block m >= 1 is summed as -tr M - f^2/2 when its
 # weighted Mercator tail bound is at most this share of |ln det(1 - M_0)|
@@ -79,6 +104,13 @@ CLOSED_FORM_TAIL = 1e-15
 
 def half_line_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes t in (0,1) mapped to (0, inf) by x = t/(1-t)."""
+    x, w = _half_line_rule(n)
+    return x.copy(), w.copy()
+
+
+@functools.cache
+def _half_line_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the solver asks for the same radial rule at every xi node
     t, w = np.polynomial.legendre.leggauss(n)
     t = 0.5 * (t + 1.0)
     jac = 1.0 / (1.0 - t) ** 2
@@ -94,10 +126,14 @@ class QuadratureConfig:
     at the Nyquist order n_azimuthal/2.  The norms of all blocks come from
     the Fourier coefficients in one pass, before any block is assembled.
 
-    Within the sum, a block m >= 1 with norm f < 1 and weighted tail bound
-    w_m f^3 / (3 (1 - f)) <= 1e-15 |ln det(1 - M_0)| contributes the
-    second-order Mercator value w_m (-tr M_m - f^2/2) in closed form; the
-    others are assembled and factored (see the module docstring).
+    The kernel is sampled only where its per-sample bound exceeds e^-46:
+    each radial pair on a leading window of the n_azimuthal/2 + 1 columns
+    dphi in [0, pi], in chunks of about 16k samples, and not at all when
+    the window is empty.  Within the sum, a block m >= 1 with norm f < 1
+    and weighted tail bound w_m f^3 / (3 (1 - f)) <= 1e-15 |ln det(1 - M_0)|
+    contributes the second-order Mercator value w_m (-tr M_m - f^2/2) in
+    closed form; the others are assembled and factored over the radial
+    nodes that lie in a kept pair (see the module docstring).
     """
 
     n_radial: int
@@ -150,15 +186,111 @@ class EnergyReport:
         }
 
 
+def _bound_offset(rho, kapa, kapb, log_wab):
+    """The dphi-independent part c of the log bound c - rho eta(dphi) on a pair's entries.
+
+    round_trip_element's log scale is -rho eta - (kapa + kapb) - ln(kapa
+    kapb)/2 with eta = kapa + kapb - sqrt(2(xi^2 + kapa kapb + ka kb cos
+    dphi)), which falls monotonically in dphi on [0, pi].  log_wab is the
+    log of the pair's symmetrized radial weight, and ln(4 pi (rho + 1))
+    covers the channel mantissas (at most 2 pi rho for the WKB kinds, where
+    |A|, |B|, |C|, |D| <= 1 and 0 < f_p <= 1; test_solver checks the bound
+    on sampled entries of every kind).
+    """
+    return (log_wab - (kapa + kapb) - 0.5 * np.log(kapa * kapb)
+            + math.log(4.0 * math.pi * (rho + 1.0)))
+
+
+def _live_columns(xi, rho, ka, kb, kapa, kapb, log_wab, m_grid) -> np.ndarray:
+    """Per pair, the number w of leading columns dphi_d = 2 pi d / m_grid that are live.
+
+    A sample is live while its bound c - rho eta(dphi) (c of _bound_offset)
+    exceeds PRUNE_LOG_CUTOFF, i.e. while sqrt(2(xi^2 + kapa kapb + ka kb cos
+    dphi)) > t with t = kapa + kapb - (c - PRUNE_LOG_CUTOFF)/rho.  t <= 0
+    leaves the whole row [0, pi] live; otherwise the last live dphi is the
+    arccos of (t^2/2 - xi^2 - kapa kapb)/(ka kb), and a value >= 1 (nothing
+    live, not even dphi = 0) gives w = 0, which drops the pair.
+    """
+    mh = m_grid // 2
+    c = _bound_offset(rho, kapa, kapb, log_wab)
+    t = kapa + kapb - (c - PRUNE_LOG_CUTOFF) / rho
+    cos_last = np.where(t > 0.0, (0.5 * t * t - xi * xi - kapa * kapb) / (ka * kb), -1.0)
+    last = np.arccos(np.clip(cos_last, -1.0, 1.0))
+    width = np.minimum(np.floor(last * (m_grid / (2.0 * math.pi))).astype(np.intp) + 1, mh + 1)
+    width[cos_last <= -1.0] = mh + 1
+    width[cos_last >= 1.0] = 0
+    return width
+
+
+def _chunks(width: np.ndarray) -> list[tuple[int, int, int]]:
+    """Chunks (lo, hi, w) of about CHUNK_SAMPLES samples over pairs sorted by descending width.
+
+    The pairs lo .. hi-1 are sampled on the columns [0, w), w being the
+    widest window among them.
+    """
+    chunks = []
+    lo = 0
+    while lo < width.size:
+        w = int(width[lo])
+        hi = min(width.size, lo + max(1, CHUNK_SAMPLES // w))
+        chunks.append((lo, hi, w))
+        lo = hi
+    return chunks
+
+
+def _exact_chunk_amplitudes(xi, rho, k_in, k_out, delta, chunks) -> list[Amplitudes]:
+    """The exact-mie amplitudes of every chunk's samples, split per chunk.
+
+    They come from one partial-wave sum over all the samples of the xi node.
+    """
+    kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
+    p_diff = np.concatenate([
+        _p_diff(xi, k_in[lo:hi, None], k_out[lo:hi, None], kap_in[lo:hi, None],
+                kap_out[lo:hi, None], delta[:w]).ravel()
+        for lo, hi, w in chunks
+    ])
+    perp, par, log_scale, pref = _amplitudes(xi, p_diff, rho, KernelKind.EXACT_MIE)
+    del p_diff
+    out = []
+    start = 0
+    for lo, hi, w in chunks:
+        part, shape = slice(start, start + (hi - lo) * w), (hi - lo, w)
+        out.append(Amplitudes(perp[part].reshape(shape), par[part].reshape(shape),
+                              log_scale[part].reshape(shape), pref))
+        start = part.stop
+    return out
+
+
+def _cos_sin_coefficients(packed: np.ndarray, m_grid: int, cos_out: np.ndarray,
+                          sin_out: np.ndarray) -> None:
+    """Cosine and sine coefficients m = 0 .. m_grid/2 of two channels from one transform.
+
+    packed holds (f - i g)/2 on the leading columns dphi_d = 2 pi d / m_grid
+    of [0, pi], zero beyond, with f the samples of a real sequence even in
+    dphi and g those of one odd in dphi.  One inverse real FFT yields
+    y_m = (C_m + S_m)/2 with C = irfft(f) even and S = irfft(-i g) odd in m,
+    so C_m = y_m + y_{N-m} and S_m = y_m - y_{N-m}, written into cos_out and
+    sin_out (halving is exact, so these equal the separate transforms up to
+    the rounding of one addition).
+    """
+    mh = m_grid // 2
+    y = np.fft.irfft(packed, m_grid, axis=1)
+    head, tail = y[:, 1 : mh + 1], y[:, : mh - 1 : -1]   # y_m and y_{N-m}, m >= 1
+    np.add(y[:, 0], y[:, 0], out=cos_out[:, 0])
+    sin_out[:, 0] = 0.0
+    np.add(head, tail, out=cos_out[:, 1:])
+    np.subtract(head, tail, out=sin_out[:, 1:])
+
+
 def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
                      config: QuadratureConfig):
     """Per-m Fourier coefficients of the symmetrized kernels at one xi.
 
     Returns (ii, jj, cmm, cee, x_ij, x_ji) where ii <= jj index the kept
-    radial node pairs and each coefficient array has shape
-    (n_pairs, n_azimuthal/2 + 1).  cee already carries the -1 of the TE
-    Fresnel sign; x_ij / x_ji are the sine coefficients of the mixed
-    kernel for (out=i, in=j) and (out=j, in=i).
+    radial node pairs, widest sampling window first, and each coefficient
+    array has shape (n_pairs, n_azimuthal/2 + 1).  cee already carries the
+    -1 of the TE Fresnel sign; x_ij / x_ji are the sine coefficients of the
+    mixed kernel for (out=i, in=j) and (out=j, in=i).
     """
     rho = geometry.aspect_ratio
     n = config.n_radial
@@ -168,47 +300,42 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
     kap = np.hypot(xi, k)
     log_w = 0.5 * np.log(k * wk / (2.0 * math.pi))
 
-    # pair pruning: the total exponent at the most favorable azimuth dphi=0
-    # is -(kap_a+kap_b) - rho*eta0 with eta0 = kap_a+kap_b - sqrt(2(xi^2+P0))
+    # windowed sampling: each pair is sampled only on the leading columns
+    # [0, w) where its per-sample bound exceeds PRUNE_LOG_CUTOFF (read at
+    # call time), and dropped when w = 0; the samples beyond are below
+    # e^-46 ~ 1e-20 and are taken as 0
     ii, jj = np.triu_indices(n)
-    ka, kb = k[ii], k[jj]
-    kapa, kapb = kap[ii], kap[jj]
-    p0 = kapa * kapb + ka * kb
-    eta0 = kapa + kapb - np.sqrt(2.0 * (xi * xi + p0))
-    bound = (
-        -(kapa + kapb)
-        - rho * eta0
-        + log_w[ii]
-        + log_w[jj]
-        + math.log(4.0 * math.pi * (rho + 1.0))
-    )
-    keep = bound > PRUNE_LOG_CUTOFF
-    ii, jj = ii[keep], jj[keep]
-    if ii.size == 0:
-        empty = np.zeros((0, mh + 1))
-        return ii, jj, empty, empty, empty, empty
+    log_wab = log_w[ii] + log_w[jj]
+    width = _live_columns(xi, rho, k[ii], k[jj], kap[ii], kap[jj], log_wab, m_grid)
+    order = np.argsort(-width, kind="stable")
+    order = order[: np.count_nonzero(width)]
+    ii, jj, width, log_wab = ii[order], jj[order], width[order], log_wab[order]
 
-    ka, kb = k[ii][:, None], k[jj][:, None]
-    delta = (2.0 * math.pi / m_grid) * np.arange(mh + 1)[None, :]
     # orientation in=j -> out=i
-    cmm, cee, x_ij, x_ji, log_scale = round_trip_element(xi, kb, ka, delta, rho, kind)
-    scale = np.exp(log_scale + (log_w[ii] + log_w[jj])[:, None])
-    cmm *= scale
-    cee *= scale
-    x_ij *= scale
-    # the similarity diag(1, -i) on the TE sector flips the TE <- TM sign
-    np.negative(scale, out=scale)
-    x_ji *= scale
-    del scale
-
-    # the samples at dphi in [0, pi] are the half spectrum of a real even
-    # (cosine) or odd (sine, times -i) sequence, so one inverse real FFT
-    # per channel yields the coefficients; the copy frees the full-length
-    # transform
-    cmm = np.fft.irfft(cmm, m_grid, axis=1)[:, : mh + 1].copy()
-    cee = np.fft.irfft(cee, m_grid, axis=1)[:, : mh + 1].copy()
-    x_ij = np.fft.irfft(-1j * x_ij, m_grid, axis=1)[:, : mh + 1].copy()
-    x_ji = np.fft.irfft(-1j * x_ji, m_grid, axis=1)[:, : mh + 1].copy()
+    k_in, k_out = k[jj], k[ii]
+    chunks = _chunks(width)
+    delta = (2.0 * math.pi / m_grid) * np.arange(mh + 1)
+    if kind is KernelKind.EXACT_MIE and chunks:
+        amplitudes = _exact_chunk_amplitudes(xi, rho, k_in, k_out, delta, chunks)
+    else:
+        amplitudes = [None] * len(chunks)
+    # allocated after the partial-wave sum, which has the larger peak
+    cmm, cee, x_ij, x_ji = (np.empty((ii.size, mh + 1)) for _ in range(4))
+    for (lo, hi, w), amps in zip(chunks, amplitudes):
+        el = round_trip_element(xi, k_in[lo:hi, None], k_out[lo:hi, None], delta[:w],
+                                rho, kind, amps)
+        scale = np.exp(el.log_scale + log_wab[lo:hi, None])
+        scale *= 0.5   # _cos_sin_coefficients takes half the samples
+        # the similarity diag(1, -i) on the TE sector flips the sign of the
+        # TE <- TM channel: X_ij is the sine transform of me, X_ji of -em
+        packed = np.empty(scale.shape, dtype=complex)
+        np.multiply(el.mm, scale, out=packed.real)
+        np.multiply(el.me, scale, out=packed.imag)
+        np.negative(packed.imag, out=packed.imag)
+        _cos_sin_coefficients(packed, m_grid, cmm[lo:hi], x_ij[lo:hi])
+        np.multiply(el.ee, scale, out=packed.real)
+        np.multiply(el.em, scale, out=packed.imag)
+        _cos_sin_coefficients(packed, m_grid, cee[lo:hi], x_ji[lo:hi])
     return ii, jj, cmm, cee, x_ij, x_ji
 
 
@@ -258,7 +385,9 @@ def _closed_form_log_dets(ii, jj, cmm, cee, norms, weights, log_det0):
 
     Returns the values and the mask of the blocks m >= 1 for which they are
     exact to CLOSED_FORM_TAIL |log_det0|: f_m < 1 and the weighted tail
-    bound weights_m f_m^3 / (3 (1 - f_m)) within that share.  The traces
+    bound weights_m f_m^3 / (3 (1 - f_m)) within that share.  Where the
+    factored log_det0 rounds to exactly 0 (every entry below the rounding
+    of 1 - M_0), the share is taken of |values[0]| instead.  The traces
     sum the diagonal pairs of the MM and EE sectors.
     """
     diag = ii == jj
@@ -266,7 +395,8 @@ def _closed_form_log_dets(ii, jj, cmm, cee, norms, weights, log_det0):
     values = -trace - 0.5 * norms * norms
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = weights * norms ** 3 / (3.0 * (1.0 - norms))
-    exact = (norms < 1.0) & (tail <= CLOSED_FORM_TAIL * abs(log_det0))
+    scale = abs(log_det0) if log_det0 != 0.0 else abs(values[0])
+    exact = (norms < 1.0) & (tail <= CLOSED_FORM_TAIL * scale)
     exact[0] = False
     return values, exact
 
@@ -297,7 +427,7 @@ def log_det_contribution(block: BlockMatrix) -> float:
     factorization means 1 - M_m is not positive definite, i.e. the
     discretized round trip is not contractive.
     """
-    a = -block.entries.copy()
+    a = -block.entries
     np.fill_diagonal(a, a.diagonal() + 1.0)
     try:
         chol = np.linalg.cholesky(a)
@@ -320,7 +450,9 @@ def _xi_contribution(args) -> tuple[float, int]:
     """Sum_m (2 - delta_m0) ln det(1 - M_m) at one xi node; returns (sum, m_used).
 
     Blocks admitted by _closed_form_log_dets are summed in closed form; the
-    others are assembled and factored.
+    others are assembled and factored over the live radial nodes, those in
+    at least one kept pair.  The other nodes' rows and columns are zero and
+    add ln 1 = 0.
     """
     xi, geometry, kind, config = args
     ii, jj, cmm, cee, x_ij, x_ji = _fourier_kernels(xi, geometry, kind, config)
@@ -329,10 +461,13 @@ def _xi_contribution(args) -> tuple[float, int]:
     norms = _block_norms(ii, jj, cmm, cee, x_ij, x_ji)
     m_last = _last_m(norms)
     weights = _azimuthal_weights(config)
-    n = config.n_radial
+    live = np.zeros(config.n_radial, dtype=bool)
+    live[ii] = live[jj] = True
+    index = np.cumsum(live) - 1   # position of each live node among the live ones
+    ii, jj, n_live = index[ii], index[jj], int(index[-1]) + 1
 
     def factored(m: int) -> float:
-        block = _assemble_block(n, m, ii, jj, cmm, cee, x_ij, x_ji)
+        block = _assemble_block(n_live, m, ii, jj, cmm, cee, x_ij, x_ji)
         return log_det_contribution(BlockMatrix(m=m, xi=xi, entries=block))
 
     log_det0 = factored(0)

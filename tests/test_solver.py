@@ -18,8 +18,12 @@ from planesphere.solver import (
     _assemble_block,
     _azimuthal_weights,
     _block_norms,
+    _bound_offset,
     _closed_form_log_dets,
+    _cos_sin_coefficients,
     _fourier_kernels,
+    _live_columns,
+    _xi_contribution,
     build_blocks,
     energy,
     half_line_nodes_weights,
@@ -259,6 +263,163 @@ def test_closed_form_admits_only_small_blocks_past_m0():
     _, exact = _closed_form_log_dets(pair, pair, coeff, coeff, norms,
                                      np.array([1.0, 2.0, 2.0, 2.0, 1.0]), -1.0)
     assert exact.tolist() == [False, False, False, True, False]
+
+
+def _last_nonempty_xi(geometry, config):
+    xi_nodes, _ = half_line_nodes_weights(config.n_xi)
+    for xi in xi_nodes[::-1]:
+        if _fourier_kernels(float(xi), geometry, KernelKind.WKB0, config)[0].size:
+            return float(xi)
+    raise AssertionError("every xi node is empty")
+
+
+@pytest.mark.parametrize("rho", [50.0, 200.0])
+def test_closed_form_takes_blocks_where_cholesky_rounds_to_zero(rho, monkeypatch):
+    # at the last non-empty node every entry is below 1e-16: ln det(1 - M_0)
+    # factors to exactly 0, and the blocks m >= 1 are still closed-form
+    geometry = Geometry(R=rho, L=1.0)
+    config = QuadratureConfig.auto(geometry)
+    xi = _last_nonempty_xi(geometry, config)
+    factored = []
+
+    def recording(block):
+        factored.append(block.m)
+        return log_det_contribution(block)
+
+    monkeypatch.setattr(solver, "log_det_contribution", recording)
+    for kind in (KernelKind.WKB0, KernelKind.WKB1):
+        factored.clear()
+        total, m_last = _xi_contribution((xi, geometry, kind, config))
+        assert m_last >= 1
+        assert factored == [0]
+        assert total < 0.0
+
+
+# ---------------------------------------------------------------------------
+# windowed sampling, packed transforms, live radial nodes
+# ---------------------------------------------------------------------------
+
+def _sampled_log_entries(xi, geometry, kind, config):
+    """log|entry| of every channel of every pair on the whole row [0, pi], and the bound."""
+    rho = geometry.aspect_ratio
+    n, m_grid = config.n_radial, config.n_azimuthal
+    k, wk = half_line_nodes_weights(n)
+    kap = np.hypot(xi, k)
+    log_w = 0.5 * np.log(k * wk / (2.0 * math.pi))
+    ii, jj = np.triu_indices(n)
+    delta = (2.0 * math.pi / m_grid) * np.arange(m_grid // 2 + 1)
+    el = round_trip_element(xi, k[jj][:, None], k[ii][:, None], delta, rho, kind)
+    log_wab = (log_w[ii] + log_w[jj])[:, None]
+    with np.errstate(divide="ignore"):
+        log_abs = np.max([np.log(np.abs(c)) for c in (el.mm, el.ee, el.me, el.em)], axis=0)
+    entries = log_abs + el.log_scale + log_wab
+    ka, kb, kapa, kapb = k[ii][:, None], k[jj][:, None], kap[ii][:, None], kap[jj][:, None]
+    # c - rho eta(dphi), eta = kapa + kapb - sqrt(2(xi^2 + kapa kapb + ka kb cos dphi))
+    eta = kapa + kapb - np.sqrt(2.0 * (xi * xi + kapa * kapb + ka * kb * np.cos(delta)))
+    bound = _bound_offset(rho, kapa, kapb, log_wab) - rho * eta
+    width = _live_columns(xi, rho, ka[:, 0], kb[:, 0], kapa[:, 0], kapb[:, 0],
+                          log_wab[:, 0], m_grid)
+    return entries, bound, width
+
+
+@pytest.mark.parametrize("rho,kinds", [
+    (20.0, list(KernelKind)),
+    (50.0, [KernelKind.WKB0, KernelKind.WKB1]),
+    (200.0, [KernelKind.WKB0, KernelKind.WKB1]),
+])
+def test_entry_bound_holds_on_every_sample(rho, kinds):
+    # at the smallest xi node, where the bound is tightest, no sampled
+    # entry exceeds it, and the window holds exactly the columns whose
+    # bound exceeds the cutoff (up to the rounding of the arccos)
+    geometry = Geometry(R=rho, L=1.0)
+    config = QuadratureConfig.auto(geometry)
+    xi = float(half_line_nodes_weights(config.n_xi)[0][0])
+    for kind in kinds:
+        entries, bound, width = _sampled_log_entries(xi, geometry, kind, config)
+        assert np.all(entries <= bound)
+        columns = np.arange(bound.shape[1])[None, :]
+        inside = columns < width[:, None]
+        assert np.all(bound[inside] > solver.PRUNE_LOG_CUTOFF - 1e-9)
+        assert np.all(bound[~inside] <= solver.PRUNE_LOG_CUTOFF + 1e-9)
+        assert 0 < inside.sum() < inside.size
+
+
+def _full_window_coefficients(xi, geometry, kind, config, ii, jj):
+    """The pairs' coefficients from every column of [0, pi], one irfft per channel."""
+    rho = geometry.aspect_ratio
+    m_grid = config.n_azimuthal
+    mh = m_grid // 2
+    k, wk = half_line_nodes_weights(config.n_radial)
+    log_w = 0.5 * np.log(k * wk / (2.0 * math.pi))
+    delta = (2.0 * math.pi / m_grid) * np.arange(mh + 1)
+    el = round_trip_element(xi, k[jj][:, None], k[ii][:, None], delta, rho, kind)
+    scale = np.exp(el.log_scale + (log_w[ii] + log_w[jj])[:, None])
+
+    def coefficients(half):
+        return np.fft.irfft(half, m_grid, axis=1)[:, : mh + 1]
+
+    return (coefficients(el.mm * scale), coefficients(el.ee * scale),
+            coefficients(-1j * el.me * scale), coefficients(1j * el.em * scale))
+
+
+@pytest.mark.parametrize("rho", [5.0, 50.0])
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_windowed_kernels_match_full_window(rho, kind):
+    # each dropped sample is below e^cutoff and enters a coefficient with
+    # weight 2/N, so the window moves no coefficient by more than
+    # (mh + 1) e^cutoff; the rest is rounding, 1e-15 of the largest
+    # coefficient of the pair's row
+    geometry = Geometry(R=rho, L=1.0)
+    config = QuadratureConfig.auto(geometry)
+    mh = config.n_azimuthal // 2
+    xi_nodes, _ = half_line_nodes_weights(config.n_xi)
+    for xi in (float(xi_nodes[i]) for i in (5, 20, 30)):
+        ii, jj, *got = _fourier_kernels(xi, geometry, kind, config)
+        want = _full_window_coefficients(xi, geometry, kind, config, ii, jj)
+        row_max = np.max([np.max(np.abs(w), axis=1) for w in want], axis=0)[:, None]
+        limit = (mh + 1) * math.exp(solver.PRUNE_LOG_CUTOFF) + 1e-15 * row_max
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= limit)
+
+
+@pytest.mark.parametrize("m_grid", [16, 64, 256])
+def test_packed_transform_matches_separate_transforms(m_grid):
+    rng = np.random.default_rng(m_grid)
+    mh = m_grid // 2
+    even = rng.standard_normal((40, mh + 1))
+    odd = rng.standard_normal((40, mh + 1)) * np.exp(rng.uniform(-5.0, 5.0, (40, 1)))
+    odd[:, [0, mh]] = 0.0   # an odd sequence vanishes at dphi = 0 and pi
+    for width in (mh + 1, mh // 2, 1):
+        cos, sin = np.empty((2, 40, mh + 1))
+        _cos_sin_coefficients(0.5 * (even - 1j * odd)[:, :width], m_grid, cos, sin)
+        want_cos = np.fft.irfft(even[:, :width], m_grid, axis=1)[:, : mh + 1]
+        want_sin = np.fft.irfft(-1j * odd[:, :width], m_grid, axis=1)[:, : mh + 1]
+        row_max = np.maximum(np.abs(want_cos).max(axis=1), np.abs(want_sin).max(axis=1))
+        assert np.all(np.abs(cos - want_cos) <= 1e-15 * row_max[:, None])
+        assert np.all(np.abs(sin - want_sin) <= 1e-15 * row_max[:, None])
+
+
+def test_live_node_factoring_matches_full_blocks(monkeypatch):
+    # at R/L = 50, xi ~ 0.5 some radial nodes are in no kept pair; their zero
+    # rows and columns add ln 1 = 0 to every block's log det
+    geometry = Geometry(R=50.0, L=1.0)
+    config = QuadratureConfig.auto(geometry)
+    n = config.n_radial
+    xi_nodes, _ = half_line_nodes_weights(config.n_xi)
+    xi = float(xi_nodes[np.argmin(np.abs(xi_nodes - 0.5))])
+    monkeypatch.setattr(solver, "CLOSED_FORM_TAIL", 0.0)
+    for kind in (KernelKind.WKB0, KernelKind.WKB1):
+        coeffs = _fourier_kernels(xi, geometry, kind, config)
+        live = np.union1d(coeffs[0], coeffs[1]).size
+        assert live < n
+        got, m_last = _xi_contribution((xi, geometry, kind, config))
+        weights = _azimuthal_weights(config)
+        want = math.fsum(
+            weights[m] * log_det_contribution(solver.BlockMatrix(
+                m=m, xi=xi, entries=_assemble_block(n, m, *coeffs)))
+            for m in range(m_last + 1)
+        )
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 def _eigen_reference_energy(geometry, kind):
