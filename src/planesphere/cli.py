@@ -268,11 +268,9 @@ def _cmd_trace_terms(args) -> list[dict]:
     if not args.u:
         raise UsageError("trace-terms requires --u (comma-separated u = 2 xi L r values)")
     try:
-        u_values = [float(tok) for tok in args.u.split(",") if tok]
-    except ValueError as exc:
+        u_values = [_finite_positive(tok) for tok in args.u.split(",") if tok]
+    except argparse.ArgumentTypeError as exc:
         raise UsageError(f"bad --u value: {exc}") from exc
-    if any(u <= 0 for u in u_values):
-        raise UsageError("u values must be positive")
     rows = []
     for u in u_values:
         for r in range(1, args.r_max + 1):
@@ -390,7 +388,8 @@ _FLAGS = {
                    help="also render a figure next to --out (needs matplotlib)"),
     "--ratios": dict(type=str, default=None, help="comma-separated R/L values"),
     "--model": dict(choices=["linear", "quadratic"], default="quadratic"),
-    "--u": dict(type=str, default=None, help="comma-separated u = 2 xi L r values"),
+    "--u": dict(type=str, default=None,
+                help="comma-separated u = 2 xi L r values (finite, > 0)"),
     "--r-max": dict(type=_at_least_one, default=5, help="largest round-trip count r"),
 }
 _SOLVER = ("--kernel", "--n-radial", "--n-azimuthal", "--n-xi", "--threads")

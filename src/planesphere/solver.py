@@ -39,8 +39,12 @@ serves each pair of channels, (MM, X_ij) and (EE, X_ji): the cosine and sine
 coefficients are the even and odd parts in m of its output.
 
 Live radial nodes.  A node that lies in no kept pair has a zero row and
-column in every block and adds ln 1 = 0 to its log det, so the energy path
-assembles and factors each block over the live nodes only.
+column in every block, which adds 0 to a trace and ln 1 = 0 to a log det,
+so every block spans the live nodes only: those in at least one kept pair.
+
+Azimuthal sum.  At every xi node with a kept pair the sum runs over all
+m = 0 .. n_azimuthal/2 (Nyquist); each block m >= 1 is either summed in
+closed form or factored, by the rule below, and m = 0 is always factored.
 
 Closed-form log-det.  Most blocks of high m are tiny.  For symmetric M with
 Frobenius norm f < 1, 1 - M is positive definite, tr M^2 = f^2, and the
@@ -89,10 +93,6 @@ def _is_power_of_two(n: int) -> bool:
 # radial pair with no such sample is dropped
 PRUNE_LOG_CUTOFF = -46.0
 
-# azimuthal truncation: the sum stops before the first m >= 1 whose block
-# Frobenius norm is below this share of the m=0 block's
-NORM_CUTOFF = 1e-10
-
 # kernel sampling: the kept pairs are sampled and transformed in chunks of
 # about this many (pair, dphi) samples
 CHUNK_SAMPLES = 1 << 14
@@ -102,38 +102,28 @@ CHUNK_SAMPLES = 1 << 14
 CLOSED_FORM_TAIL = 1e-15
 
 
-def half_line_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes t in (0,1) mapped to (0, inf) by x = t/(1-t)."""
-    x, w = _half_line_rule(n)
-    return x.copy(), w.copy()
-
-
 @functools.cache
-def _half_line_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # the solver asks for the same radial rule at every xi node
+def half_line_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes t in (0,1) mapped to (0, inf) by x = t/(1-t).
+
+    Cached, since the solver asks for the same radial rule at every xi
+    node; the returned arrays are read-only, so no caller can alter the
+    cached rule.
+    """
     t, w = np.polynomial.legendre.leggauss(n)
     t = 0.5 * (t + 1.0)
     jac = 1.0 / (1.0 - t) ** 2
-    return t / (1.0 - t), 0.5 * w * jac
+    x, w = t / (1.0 - t), 0.5 * w * jac
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Discretization knobs for the radial, azimuthal and frequency grids.
 
-    The azimuthal sum stops by one of two rules: before the first m >= 1
-    whose block Frobenius norm is below 1e-10 of the m=0 block's, or else
-    at the Nyquist order n_azimuthal/2.  The norms of all blocks come from
-    the Fourier coefficients in one pass, before any block is assembled.
-
-    The kernel is sampled only where its per-sample bound exceeds e^-46:
-    each radial pair on a leading window of the n_azimuthal/2 + 1 columns
-    dphi in [0, pi], in chunks of about 16k samples, and not at all when
-    the window is empty.  Within the sum, a block m >= 1 with norm f < 1
-    and weighted tail bound w_m f^3 / (3 (1 - f)) <= 1e-15 |ln det(1 - M_0)|
-    contributes the second-order Mercator value w_m (-tr M_m - f^2/2) in
-    closed form; the others are assembled and factored over the radial
-    nodes that lie in a kept pair (see the module docstring).
+    How the kernel is sampled on these grids and which azimuthal blocks
+    are factored is set out in the module docstring.
     """
 
     n_radial: int
@@ -163,7 +153,7 @@ class BlockMatrix:
 
     m: int
     xi: float
-    entries: np.ndarray  # (2 n_radial, 2 n_radial), real symmetric
+    entries: np.ndarray  # (2 n_live, 2 n_live), real symmetric
 
 
 @dataclass(frozen=True)
@@ -373,13 +363,6 @@ def _block_norms(ii, jj, cmm, cee, x_ij, x_ji) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _last_m(norms: np.ndarray) -> int:
-    """Last azimuthal order of the sum: the norm cutoff, or Nyquist (the last norm)."""
-    norm0 = norms[0] if norms[0] > 0.0 else 1.0
-    small = np.flatnonzero(norms[1:] < NORM_CUTOFF * norm0)
-    return int(small[0]) if small.size else norms.size - 1
-
-
 def _closed_form_log_dets(ii, jj, cmm, cee, norms, weights, log_det0):
     """Second-order Mercator ln det(1 - M_m) = -tr M_m - f_m^2/2 for every m.
 
@@ -401,22 +384,38 @@ def _closed_form_log_dets(ii, jj, cmm, cee, norms, weights, log_det0):
     return values, exact
 
 
+def _live_kernels(xi: float, geometry: Geometry, kind: KernelKind,
+                  config: QuadratureConfig):
+    """_fourier_kernels with the pairs indexed over the live radial nodes.
+
+    Returns (n_live, ii, jj, cmm, cee, x_ij, x_ji): the live nodes are those
+    in at least one kept pair, and ii, jj give each pair's positions among
+    them, so _assemble_block(n_live, ...) builds a block without the zero
+    rows and columns of the other nodes.
+    """
+    ii, jj, cmm, cee, x_ij, x_ji = _fourier_kernels(xi, geometry, kind, config)
+    live = np.zeros(config.n_radial, dtype=bool)
+    live[ii] = live[jj] = True
+    index = np.cumsum(live) - 1   # position of each live node among the live ones
+    return int(np.count_nonzero(live)), index[ii], index[jj], cmm, cee, x_ij, x_ji
+
+
 def _iter_blocks(xi: float, geometry: Geometry, kind: KernelKind,
                  config: QuadratureConfig) -> Iterator[BlockMatrix]:
-    """Yield blocks for m = 0, 1, ... up to the norm cutoff or Nyquist."""
-    ii, jj, cmm, cee, x_ij, x_ji = _fourier_kernels(xi, geometry, kind, config)
-    if ii.size == 0:
+    """Yield the blocks m = 0 .. n_azimuthal/2 over the live radial nodes.
+
+    A node where no pair is kept yields none.
+    """
+    n_live, *coeffs = _live_kernels(xi, geometry, kind, config)
+    if n_live == 0:
         return
-    m_cap = _last_m(_block_norms(ii, jj, cmm, cee, x_ij, x_ji))
-    n = config.n_radial
-    for m in range(m_cap + 1):
-        block = _assemble_block(n, m, ii, jj, cmm, cee, x_ij, x_ji)
-        yield BlockMatrix(m=m, xi=xi, entries=block)
+    for m in range(config.n_azimuthal // 2 + 1):
+        yield BlockMatrix(m=m, xi=xi, entries=_assemble_block(n_live, m, *coeffs))
 
 
 def build_blocks(xi: float, geometry: Geometry, kind: KernelKind,
                  config: QuadratureConfig) -> list[BlockMatrix]:
-    """All azimuthal blocks at one frequency (see _iter_blocks for truncation)."""
+    """All azimuthal blocks at one frequency (see _iter_blocks)."""
     return list(_iter_blocks(xi, geometry, kind, config))
 
 
@@ -447,24 +446,19 @@ def _azimuthal_weights(config: QuadratureConfig) -> np.ndarray:
 
 
 def _xi_contribution(args) -> tuple[float, int]:
-    """Sum_m (2 - delta_m0) ln det(1 - M_m) at one xi node; returns (sum, m_used).
+    """Sum_m (2 - delta_m0) ln det(1 - M_m) at one xi node; returns (sum, last m).
 
-    Blocks admitted by _closed_form_log_dets are summed in closed form; the
-    others are assembled and factored over the live radial nodes, those in
-    at least one kept pair.  The other nodes' rows and columns are zero and
-    add ln 1 = 0.
+    The sum runs to n_azimuthal/2, the last m returned (-1 where no pair is
+    kept).  Blocks admitted by _closed_form_log_dets are summed in closed
+    form; the others are assembled and factored over the live radial nodes.
     """
     xi, geometry, kind, config = args
-    ii, jj, cmm, cee, x_ij, x_ji = _fourier_kernels(xi, geometry, kind, config)
-    if ii.size == 0:
+    n_live, ii, jj, cmm, cee, x_ij, x_ji = _live_kernels(xi, geometry, kind, config)
+    if n_live == 0:
         return 0.0, -1
+    m_last = config.n_azimuthal // 2
     norms = _block_norms(ii, jj, cmm, cee, x_ij, x_ji)
-    m_last = _last_m(norms)
     weights = _azimuthal_weights(config)
-    live = np.zeros(config.n_radial, dtype=bool)
-    live[ii] = live[jj] = True
-    index = np.cumsum(live) - 1   # position of each live node among the live ones
-    ii, jj, n_live = index[ii], index[jj], int(index[-1]) + 1
 
     def factored(m: int) -> float:
         block = _assemble_block(n_live, m, ii, jj, cmm, cee, x_ij, x_ji)
@@ -496,16 +490,20 @@ def _openblas():
     return None
 
 
-def _single_blas_thread() -> None:
-    """Pool-worker initializer: run numpy's bundled OpenBLAS on one thread.
+def _set_blas_threads(n: int) -> int | None:
+    """Run numpy's bundled OpenBLAS on n threads; returns the previous count.
 
-    Every worker already occupies a core, so OpenBLAS threads of its own
-    would oversubscribe them.  Does nothing if the library or its setter is
-    not found.
+    Returns None, and does nothing, if the library or its setter is not
+    found.  With n = 1 it is also the pool-worker initializer: every worker
+    already occupies a core, so OpenBLAS threads of its own would
+    oversubscribe them.
     """
     lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
+    if lib is None:
+        return None
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(n)
+    return before
 
 
 @contextmanager
@@ -515,16 +513,12 @@ def _one_blas_thread():
     A serial solve factors blocks of at most a few hundred rows, where one
     thread is not slower and leaves the other cores to other processes.
     """
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
+    before = _set_blas_threads(1)
     try:
         yield
     finally:
-        lib.scipy_openblas_set_num_threads64_(before)
+        if before is not None:
+            _set_blas_threads(before)
 
 
 def energy(geometry: Geometry, kind: KernelKind,
@@ -543,7 +537,8 @@ def energy(geometry: Geometry, kind: KernelKind,
     xi_nodes, xi_weights = half_line_nodes_weights(config.n_xi)
     jobs = [(float(xi), geometry, kind, config) for xi in xi_nodes]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_single_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_set_blas_threads,
+                                 initargs=(1,)) as pool:
             results = list(pool.map(_xi_contribution, jobs))
     else:
         with _one_blas_thread():

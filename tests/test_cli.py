@@ -287,6 +287,8 @@ def test_flags_a_command_does_not_read_exit_2(argv, capsys):
     ["pfa", "--R", "5", "--L", "1", "--length-unit-m", "0"],
     ["pfa", "--R", "5", "--L", "1", "--length-unit-m", "inf"],
     ["trace-terms", "--u", "1.0", "--r-max", "0"],
+    ["trace-terms", "--u", "inf"],
+    ["trace-terms", "--u", "1,nan"],
     ["energy", "--R", "5", "--L", "1", "--threads", "abc"],
 ])
 def test_invalid_values_exit_2_with_empty_stdout(argv, capsys):

@@ -57,6 +57,15 @@ def test_rational_stretch_integrates_exponential():
     assert float(np.sum(w * np.exp(-k))) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_cached_radial_rule_is_read_only():
+    # every call returns the cached arrays, so none may be written into
+    k, w = half_line_nodes_weights(16)
+    assert half_line_nodes_weights(16)[0] is k
+    for values in (k, w):
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # block structure
 # ---------------------------------------------------------------------------
@@ -179,15 +188,6 @@ def test_block_norms_match_assembled_blocks(kind):
         assert abs(norm - np.linalg.norm(block)) <= 1e-12 * norms[0]
 
 
-def test_norm_cutoff_matches_full_azimuthal_sum(monkeypatch):
-    geometry = Geometry(R=50.0, L=1.0)
-    e_auto = energy(geometry, KernelKind.WKB1).energy
-    # no block falls below a zero cutoff: the sum runs to Nyquist
-    monkeypatch.setattr(solver, "NORM_CUTOFF", 0.0)
-    e_full = energy(geometry, KernelKind.WKB1).energy
-    assert e_auto == pytest.approx(e_full, rel=1e-10)
-
-
 def test_spectral_radius_below_one():
     geometry = Geometry(R=10.0, L=1.0)
     cfg = small_config(n_radial=32)
@@ -293,6 +293,50 @@ def test_closed_form_takes_blocks_where_cholesky_rounds_to_zero(rho, monkeypatch
         assert m_last >= 1
         assert factored == [0]
         assert total < 0.0
+
+
+def test_sum_runs_to_nyquist_at_every_nonempty_node():
+    # every node with a kept pair sums to n_azimuthal/2; an empty one returns -1
+    geometry = Geometry(R=50.0, L=1.0)
+    config = QuadratureConfig.auto(geometry)
+    mh = config.n_azimuthal // 2
+    xi_nodes, _ = half_line_nodes_weights(config.n_xi)
+    nonempty = 0
+    for xi in (float(x) for x in xi_nodes):
+        kept = _fourier_kernels(xi, geometry, KernelKind.WKB1, config)[0].size
+        _, m_last = _xi_contribution((xi, geometry, KernelKind.WKB1, config))
+        assert m_last == (mh if kept else -1)
+        nonempty += bool(kept)
+    assert 0 < nonempty < config.n_xi
+
+
+def _criterion5_setup():
+    return (Geometry(R=5.0, L=1.0), QuadratureConfig(n_radial=64, n_azimuthal=64, n_xi=8),
+            1.0, KernelKind.EXACT_MIE)
+
+
+def test_blocks_span_live_nodes_up_to_nyquist():
+    geometry, config, xi, kind = _criterion5_setup()
+    ii, jj, *_ = _fourier_kernels(xi, geometry, kind, config)
+    n_live = np.union1d(ii, jj).size
+    assert n_live < config.n_radial
+    blocks = build_blocks(xi, geometry, kind, config)
+    assert [b.m for b in blocks] == list(range(config.n_azimuthal // 2 + 1))
+    assert all(b.entries.shape == (2 * n_live, 2 * n_live) for b in blocks)
+
+
+def test_traces_match_full_size_blocks_up_to_nyquist():
+    # the dead nodes' zero rows and columns add nothing to tr M^r
+    geometry, config, xi, kind = _criterion5_setup()
+    coeffs = _fourier_kernels(xi, geometry, kind, config)
+    weights = _azimuthal_weights(config)
+    full = [_assemble_block(config.n_radial, m, *coeffs)
+            for m in range(config.n_azimuthal // 2 + 1)]
+    for r in (1, 2):
+        want = math.fsum(weights[m] * float(np.trace(np.linalg.matrix_power(block, r)))
+                         for m, block in enumerate(full))
+        got = trace_Mr_numeric(r, xi, geometry, kind, config)
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
