@@ -234,8 +234,8 @@ def _cmd_beta_fit(args) -> dict:
         ratios = [float(tok) for tok in args.ratios.split(",") if tok]
     except ValueError as exc:
         raise UsageError(f"bad --ratios value: {exc}") from exc
-    if len(ratios) < (2 if args.model == "linear" else 3):
-        raise UsageError("need at least 2 (linear) or 3 (quadratic) ratios")
+    if len(set(ratios)) < (2 if args.model == "linear" else 3):
+        raise UsageError("need at least 2 (linear) or 3 (quadratic) distinct ratios")
     kind = KernelKind(args.kernel)
     samples = []
     for rho in ratios:

@@ -72,9 +72,9 @@ class ExactAmplitudes:
     """Adaptive partial-wave summation of S_perp, S_par at fixed (xi, R).
 
     The Mie coefficient arrays depend on xi only and are grown lazily, so
-    one call over every cos(Theta) value of a frequency (the solver's hot
-    loop makes one per xi node) computes them once.  Calls are vectorized
-    over an array of cos(Theta) values.
+    one call over many cos(Theta) values of a frequency (the solver's hot
+    loop makes one per chunk of radial pairs) computes them once.  Calls
+    are vectorized over an array of cos(Theta) values.
 
     Scale: each element is summed on one scale fixed before the ell loop,
     the WKB exponent 2x sin(Theta/2), so the returned mantissas are the

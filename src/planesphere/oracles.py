@@ -29,7 +29,7 @@ import numpy as np
 
 from .asymptotics import hessian_eigenvalues
 from .core import Geometry
-from .reflection import KernelKind, round_trip_element, sphere_amplitudes, sphere_element
+from .reflection import KernelKind, round_trip_element, sphere_element
 
 
 # ---------------------------------------------------------------------------
@@ -423,24 +423,26 @@ def _radial_gl(n: int, xi: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * k_max * (t + 1.0), 0.5 * k_max * w
 
 
-def _pair_elements(xi, ka, kb, dphi, rho):
-    """Plane-dressed channels (MM, EE, ME, EM) of both legs of a loop.
+def _pair_elements(xi, k, phi, rho):
+    """Plane-dressed channels (MM, EE, ME, EM) of both legs of a loop on the grid.
 
-    Returns the leg in=a -> out=b at dphi and the leg in=b -> out=a at
-    -dphi, each with translation damping, quadrature measure excluded.
-    Both legs have the same cos(Theta), so one Mie evaluation serves both;
-    each gets its own polarization rotation.  Vectorized over broadcastable
-    inputs.
+    k holds the radial nodes and phi the uniform azimuths phi_l = 2 pi l /
+    n_phi.  Returns two (n_k, n_k, n_phi) tables: at grid point (a, b, l)
+    the leg in=a -> out=b at phi_l and the leg in=b -> out=a at -phi_l,
+    each with translation damping, quadrature measure excluded.  Only the
+    first leg is evaluated, over the whole grid.  The grid maps onto itself
+    under swapping a and b and negating the azimuth (-phi_l is phi_{-l mod
+    n_phi} up to a period), so the second leg is the same table read at (b,
+    a, -l mod n_phi).  No physical symmetry such as reciprocity is assumed:
+    every value read is the element at the arguments it stands for.
     """
-    amplitudes = sphere_amplitudes(xi, ka, kb, dphi, rho, KernelKind.EXACT_MIE)
-    legs = []
-    for k_in, k_out, angle in ((ka, kb, dphi), (kb, ka, -dphi)):
-        mm, ee, me, em, log_scale = round_trip_element(
-            xi, k_in, k_out, angle, rho, KernelKind.EXACT_MIE, amplitudes=amplitudes
-        )
-        scale = np.exp(log_scale)
-        legs.append((mm * scale, ee * scale, me * scale, em * scale))
-    return legs
+    mm, ee, me, em, log_scale = round_trip_element(
+        xi, k[:, None, None], k[None, :, None], phi, rho, KernelKind.EXACT_MIE
+    )
+    scale = np.exp(log_scale)
+    forward = (mm * scale, ee * scale, me * scale, em * scale)
+    back = -np.arange(phi.size) % phi.size
+    return forward, tuple(c.transpose(1, 0, 2)[:, :, back] for c in forward)
 
 
 def brute_force_trace(r: int, xi: float, geometry: Geometry,
@@ -450,7 +452,9 @@ def brute_force_trace(r: int, xi: float, geometry: Geometry,
     Supports r = 1 (radial integral over the specular diagonal) and r = 2
     (two radial integrals and one relative azimuth, summing the four
     polarization products).  Shares only the round-trip element with the
-    solver: no symmetrized blocks, no FFT, no azimuthal series.
+    solver: no symmetrized blocks, no FFT, no azimuthal series.  For r = 2
+    the return leg is read off the outgoing leg's table by re-indexing the
+    quadrature grid (see _pair_elements), not by a symmetry of the kernel.
     """
     rho = geometry.aspect_ratio
     k, wk = _radial_gl(n_k, xi)
@@ -461,12 +465,7 @@ def brute_force_trace(r: int, xi: float, geometry: Geometry,
     if r == 2:
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         w_phi = 2.0 * math.pi / n_phi
-        k1 = k[:, None, None]
-        k2 = k[None, :, None]
-        dphi = phi[None, None, :]
-        (mm_f, ee_f, me_f, em_f), (mm_b, ee_b, me_b, em_b) = _pair_elements(
-            xi, k1, k2, dphi, rho
-        )
+        (mm_f, ee_f, me_f, em_f), (mm_b, ee_b, me_b, em_b) = _pair_elements(xi, k, phi, rho)
         pol_sum = mm_f * mm_b + ee_f * ee_b + me_f * em_b + em_f * me_b
         meas = (k * wk)[:, None, None] * (k * wk)[None, :, None] * w_phi
         return float(np.sum(meas * pol_sum)) / (2.0 * math.pi) ** 3

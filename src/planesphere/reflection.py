@@ -34,11 +34,11 @@ test suite only and must agree with this fast path to 1e-12.
 plane -> sphere -> plane element: the solver's kernel sampling
 (solver._fourier_kernels) and the brute-force trace oracle
 (oracles._pair_elements) call it.  Beneath it, `sphere_element(xi, k_in,
-k_out, dphi, rho, kind, amplitudes=None)` combines the sphere amplitudes of
-the three kernels with the chi rotation, with no plane reflection; the
-saddle weight oracles.g_function calls it directly.  All of them are
-vectorized over broadcastable (xi, k_in, k_out, dphi) arrays and return
-mantissas with one log scale.
+k_out, dphi, rho, kind)` combines the sphere amplitudes of the three
+kernels (`_amplitudes`, the only place they are computed) with the chi
+rotation, with no plane reflection; the saddle weight oracles.g_function
+calls it directly.  All of them are vectorized over broadcastable (xi,
+k_in, k_out, dphi) arrays and return mantissas with one log scale.
 """
 from __future__ import annotations
 
@@ -163,29 +163,15 @@ def _amplitudes(xi, p_diff, rho, kind) -> Amplitudes:
     return Amplitudes(perp, par, 2.0 * rho * h, math.pi * rho)
 
 
-def sphere_amplitudes(xi, k_in, k_out, dphi, rho, kind) -> Amplitudes:
-    """The amplitudes `sphere_element` uses, for passing back in.
-
-    They depend on the channels only through cos(Theta), which is unchanged
-    by swapping in and out and negating dphi, so both legs of a loop can
-    share one evaluation.
-    """
-    kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
-    return _amplitudes(xi, _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi), rho, kind)
-
-
-def sphere_element(xi, k_in, k_out, dphi, rho, kind, amplitudes=None) -> Channels:
+def sphere_element(xi, k_in, k_out, dphi, rho, kind) -> Channels:
     """kappa_out <out|R_S|in> of a sphere of radius rho, four channels at once.
 
     Vectorized over broadcastable (xi, k_in, k_out, dphi), dphi = phi_out -
-    phi_in.  The amplitudes are those of `kind` unless precomputed ones are
-    passed.
+    phi_in, with the amplitudes of `kind`.
     """
     kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
     p_diff = _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi)
-    if amplitudes is None:
-        amplitudes = _amplitudes(xi, p_diff, rho, kind)
-    perp, par, log_scale, pref = amplitudes
+    perp, par, log_scale, pref = _amplitudes(xi, p_diff, rho, kind)
     a, b, c, d = abcd_arrays(xi, k_in, k_out, kap_in, kap_out, dphi, p_diff)
     return Channels(
         (a * par + b * perp) * pref,
@@ -196,7 +182,7 @@ def sphere_element(xi, k_in, k_out, dphi, rho, kind, amplitudes=None) -> Channel
     )
 
 
-def round_trip_element(xi, k_in, k_out, dphi, rho, kind, amplitudes=None) -> Channels:
+def round_trip_element(xi, k_in, k_out, dphi, rho, kind) -> Channels:
     """One symmetrized leg plane -> sphere -> plane, four channels at once.
 
     The sphere element times the plane's Fresnel coefficient of the
@@ -208,7 +194,7 @@ def round_trip_element(xi, k_in, k_out, dphi, rho, kind, amplitudes=None) -> Cha
     <= 0 for the WKB kinds).  Arguments as for `sphere_element`; quadrature
     weights are the caller's.
     """
-    el = sphere_element(xi, k_in, k_out, dphi, rho, kind, amplitudes)
+    el = sphere_element(xi, k_in, k_out, dphi, rho, kind)
     kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
     log_scale = (el.log_scale - (kap_in + kap_out) * (1.0 + rho)
                  - 0.5 * (np.log(kap_in) + np.log(kap_out)))

@@ -32,9 +32,9 @@ the samples above e^PRUNE_LOG_CUTOFF form a leading window [0, w) of
 columns, whose end is solved in closed form per pair; a pair with w = 0 is
 dropped, and the samples beyond the window are taken as 0.  The kept pairs
 are sorted by w and processed in chunks of about CHUNK_SAMPLES samples, each
-sampled on its widest window: round_trip_element, the scale and the
-transform see only those columns.  For exact-mie the amplitudes of all
-chunks still come from one partial-wave sum per xi.  One inverse real FFT
+sampled on its widest window by one round_trip_element call, which for
+exact-mie makes that chunk's own partial-wave sum; the element, the scale
+and the transform see only those columns.  One inverse real FFT
 serves each pair of channels, (MM, X_ij) and (EE, X_ji): the cosine and sine
 coefficients are the even and odd parts in m of its output.
 
@@ -76,7 +76,7 @@ import numpy as np
 
 from .asymptotics import e_pfa
 from .core import Geometry
-from .reflection import Amplitudes, KernelKind, _amplitudes, _p_diff, round_trip_element
+from .reflection import KernelKind, round_trip_element
 from .reflection import chi_components  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 
@@ -228,29 +228,6 @@ def _chunks(width: np.ndarray) -> list[tuple[int, int, int]]:
     return chunks
 
 
-def _exact_chunk_amplitudes(xi, rho, k_in, k_out, delta, chunks) -> list[Amplitudes]:
-    """The exact-mie amplitudes of every chunk's samples, split per chunk.
-
-    They come from one partial-wave sum over all the samples of the xi node.
-    """
-    kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
-    p_diff = np.concatenate([
-        _p_diff(xi, k_in[lo:hi, None], k_out[lo:hi, None], kap_in[lo:hi, None],
-                kap_out[lo:hi, None], delta[:w]).ravel()
-        for lo, hi, w in chunks
-    ])
-    perp, par, log_scale, pref = _amplitudes(xi, p_diff, rho, KernelKind.EXACT_MIE)
-    del p_diff
-    out = []
-    start = 0
-    for lo, hi, w in chunks:
-        part, shape = slice(start, start + (hi - lo) * w), (hi - lo, w)
-        out.append(Amplitudes(perp[part].reshape(shape), par[part].reshape(shape),
-                              log_scale[part].reshape(shape), pref))
-        start = part.stop
-    return out
-
-
 def _cos_sin_coefficients(packed: np.ndarray, m_grid: int, cos_out: np.ndarray,
                           sin_out: np.ndarray) -> None:
     """Cosine and sine coefficients m = 0 .. m_grid/2 of two channels from one transform.
@@ -301,19 +278,15 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
     order = order[: np.count_nonzero(width)]
     ii, jj, width, log_wab = ii[order], jj[order], width[order], log_wab[order]
 
-    # orientation in=j -> out=i
+    # orientation in=j -> out=i; each chunk of pairs is sampled on its
+    # widest window by one round_trip_element call (for exact-mie, one
+    # partial-wave sum over that chunk's samples)
     k_in, k_out = k[jj], k[ii]
-    chunks = _chunks(width)
     delta = (2.0 * math.pi / m_grid) * np.arange(mh + 1)
-    if kind is KernelKind.EXACT_MIE and chunks:
-        amplitudes = _exact_chunk_amplitudes(xi, rho, k_in, k_out, delta, chunks)
-    else:
-        amplitudes = [None] * len(chunks)
-    # allocated after the partial-wave sum, which has the larger peak
     cmm, cee, x_ij, x_ji = (np.empty((ii.size, mh + 1)) for _ in range(4))
-    for (lo, hi, w), amps in zip(chunks, amplitudes):
+    for lo, hi, w in _chunks(width):
         el = round_trip_element(xi, k_in[lo:hi, None], k_out[lo:hi, None], delta[:w],
-                                rho, kind, amps)
+                                rho, kind)
         scale = np.exp(el.log_scale + log_wab[lo:hi, None])
         scale *= 0.5   # _cos_sin_coefficients takes half the samples
         # the similarity diag(1, -i) on the TE sector flips the sign of the
@@ -446,17 +419,17 @@ def _azimuthal_weights(config: QuadratureConfig) -> np.ndarray:
 
 
 def _xi_contribution(args) -> tuple[float, int]:
-    """Sum_m (2 - delta_m0) ln det(1 - M_m) at one xi node; returns (sum, last m).
+    """Sum_m (2 - delta_m0) ln det(1 - M_m) at one xi node; returns (sum, m factored).
 
-    The sum runs to n_azimuthal/2, the last m returned (-1 where no pair is
-    kept).  Blocks admitted by _closed_form_log_dets are summed in closed
-    form; the others are assembled and factored over the live radial nodes.
+    The sum runs to n_azimuthal/2.  Blocks admitted by _closed_form_log_dets
+    are summed in closed form; the others are assembled and factored over
+    the live radial nodes, and the largest m among them is returned (0 when
+    only M_0 is factored, -1 where no pair is kept).
     """
     xi, geometry, kind, config = args
     n_live, ii, jj, cmm, cee, x_ij, x_ji = _live_kernels(xi, geometry, kind, config)
     if n_live == 0:
         return 0.0, -1
-    m_last = config.n_azimuthal // 2
     norms = _block_norms(ii, jj, cmm, cee, x_ij, x_ji)
     weights = _azimuthal_weights(config)
 
@@ -467,9 +440,9 @@ def _xi_contribution(args) -> tuple[float, int]:
     log_det0 = factored(0)
     closed, exact = _closed_form_log_dets(ii, jj, cmm, cee, norms, weights, log_det0)
     total = weights[0] * log_det0
-    for m in range(1, m_last + 1):
+    for m in range(1, norms.size):
         total += weights[m] * (closed[m] if exact[m] else factored(m))
-    return float(total), m_last
+    return float(total), int(np.flatnonzero(~exact)[-1])
 
 
 @functools.cache
@@ -531,6 +504,9 @@ def energy(geometry: Geometry, kind: KernelKind,
     BLAS on one thread each (results are summed in fixed node order
     regardless of scheduling).  A serial solve also runs BLAS on one
     thread, restoring the previous count when it returns or raises.
+    diagnostics["m_factored"] lists, per xi node, the largest m whose block
+    was factored rather than summed in closed form (0 when only M_0 was,
+    -1 where no radial pair is kept).
     """
     if config is None:
         config = QuadratureConfig.auto(geometry)
@@ -544,11 +520,10 @@ def energy(geometry: Geometry, kind: KernelKind,
         with _one_blas_thread():
             results = [_xi_contribution(job) for job in jobs]
     g_values = np.array([res[0] for res in results])
-    m_used = max((res[1] for res in results), default=-1)
     total = float(np.dot(xi_weights, g_values)) / (2.0 * math.pi)
     pfa = e_pfa(geometry)
     diagnostics = {
-        "m_max_used": m_used,
+        "m_factored": [res[1] for res in results],
         "xi_max": float(np.max(xi_nodes)),
     }
     return EnergyReport(

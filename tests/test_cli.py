@@ -290,11 +290,14 @@ def test_flags_a_command_does_not_read_exit_2(argv, capsys):
     ["trace-terms", "--u", "inf"],
     ["trace-terms", "--u", "1,nan"],
     ["energy", "--R", "5", "--L", "1", "--threads", "abc"],
+    ["beta-fit", "--kernel", "wkb0", "--ratios", "5,5,5", "--model", "quadratic"],
+    ["beta-fit", "--kernel", "wkb0", "--ratios", "30,30.0", "--model", "linear"],
 ])
 def test_invalid_values_exit_2_with_empty_stdout(argv, capsys):
     # zero sizes and thread counts are rejected, not replaced by the
     # automatic values; a length unit must be finite and positive and
-    # r_max at least 1; --plot without --out fails before any report
+    # r_max at least 1; beta-fit needs as many distinct ratios as its model
+    # has parameters; --plot without --out fails before any report
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

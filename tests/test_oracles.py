@@ -10,6 +10,8 @@ from planesphere.mie import ExactAmplitudes
 from planesphere.oracles import (
     DerivativeStencil,
     _eta_c,
+    _pair_elements,
+    _radial_gl,
     beta_fit,
     brute_force_trace,
     d_pq_classes,
@@ -24,7 +26,7 @@ from planesphere.oracles import (
     w_direction,
     w_matrix,
 )
-from planesphere.reflection import KernelKind, sphere_element
+from planesphere.reflection import KernelKind, round_trip_element, sphere_element
 
 
 def test_w_matrix_unitary():
@@ -184,7 +186,8 @@ def test_brute_force_trace_r1_frozen():
 
 
 def test_brute_force_trace_r2_makes_one_amplitude_call(monkeypatch):
-    # both legs of the two-round-trip loop share one Mie evaluation
+    # only the outgoing leg is evaluated, once over the whole grid; the
+    # return leg is read off the same table
     calls = []
     original = ExactAmplitudes.__call__
 
@@ -195,6 +198,24 @@ def test_brute_force_trace_r2_makes_one_amplitude_call(monkeypatch):
     monkeypatch.setattr(ExactAmplitudes, "__call__", counted)
     brute_force_trace(2, 1.0, Geometry(R=5.0, L=1.0), n_k=8, n_phi=16)
     assert calls == [8 * 8 * 16]
+
+
+def test_pair_elements_backward_leg_is_the_direct_element():
+    # the return leg in=b -> out=a at -phi_l, read at grid point
+    # (b, a, -l mod n_phi) of the outgoing table, against a direct
+    # evaluation at those arguments, channel by channel
+    xi, rho, n_phi = 1.0, 5.0, 16
+    k, _ = _radial_gl(8, xi)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    _, backward = _pair_elements(xi, k, phi, rho)
+    *channels, log_scale = round_trip_element(
+        xi, k[None, :, None], k[:, None, None], -phi, rho, KernelKind.EXACT_MIE
+    )
+    scale = np.exp(log_scale)
+    for got, want in zip(backward, channels):
+        want = want * scale
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_brute_force_trace_unsupported_r():

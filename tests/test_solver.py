@@ -276,7 +276,8 @@ def _last_nonempty_xi(geometry, config):
 @pytest.mark.parametrize("rho", [50.0, 200.0])
 def test_closed_form_takes_blocks_where_cholesky_rounds_to_zero(rho, monkeypatch):
     # at the last non-empty node every entry is below 1e-16: ln det(1 - M_0)
-    # factors to exactly 0, and the blocks m >= 1 are still closed-form
+    # factors to exactly 0, and the blocks m >= 1 are still closed-form, so
+    # the largest factored m is 0
     geometry = Geometry(R=rho, L=1.0)
     config = QuadratureConfig.auto(geometry)
     xi = _last_nonempty_xi(geometry, config)
@@ -289,14 +290,16 @@ def test_closed_form_takes_blocks_where_cholesky_rounds_to_zero(rho, monkeypatch
     monkeypatch.setattr(solver, "log_det_contribution", recording)
     for kind in (KernelKind.WKB0, KernelKind.WKB1):
         factored.clear()
-        total, m_last = _xi_contribution((xi, geometry, kind, config))
-        assert m_last >= 1
+        total, m_factored = _xi_contribution((xi, geometry, kind, config))
+        assert m_factored == 0
         assert factored == [0]
         assert total < 0.0
 
 
-def test_sum_runs_to_nyquist_at_every_nonempty_node():
-    # every node with a kept pair sums to n_azimuthal/2; an empty one returns -1
+def test_sum_runs_to_nyquist_at_every_nonempty_node(monkeypatch):
+    # with no block admitted to the closed form, every node with a kept
+    # pair factors each m up to n_azimuthal/2; an empty one returns -1
+    monkeypatch.setattr(solver, "CLOSED_FORM_TAIL", 0.0)
     geometry = Geometry(R=50.0, L=1.0)
     config = QuadratureConfig.auto(geometry)
     mh = config.n_azimuthal // 2
@@ -304,10 +307,27 @@ def test_sum_runs_to_nyquist_at_every_nonempty_node():
     nonempty = 0
     for xi in (float(x) for x in xi_nodes):
         kept = _fourier_kernels(xi, geometry, KernelKind.WKB1, config)[0].size
-        _, m_last = _xi_contribution((xi, geometry, KernelKind.WKB1, config))
-        assert m_last == (mh if kept else -1)
+        _, m_factored = _xi_contribution((xi, geometry, KernelKind.WKB1, config))
+        assert m_factored == (mh if kept else -1)
         nonempty += bool(kept)
     assert 0 < nonempty < config.n_xi
+
+
+def test_energy_reports_largest_factored_m_per_xi_node():
+    # one entry per xi node: -1 exactly where no pair is kept, 0 at the last
+    # non-empty node (its blocks m >= 1 are all closed-form), never past
+    # Nyquist
+    geometry = Geometry(R=50.0, L=1.0)
+    config = QuadratureConfig.auto(geometry)
+    m_factored = energy(geometry, KernelKind.WKB1, config).diagnostics["m_factored"]
+    xi_nodes, _ = half_line_nodes_weights(config.n_xi)
+    kept = [_fourier_kernels(float(xi), geometry, KernelKind.WKB1, config)[0].size > 0
+            for xi in xi_nodes]
+    assert len(m_factored) == config.n_xi
+    assert [m == -1 for m in m_factored] == [not k for k in kept]
+    last = max(i for i, k in enumerate(kept) if k)
+    assert m_factored[last] == 0
+    assert max(m_factored) <= config.n_azimuthal // 2
 
 
 def _criterion5_setup():
@@ -456,12 +476,12 @@ def test_live_node_factoring_matches_full_blocks(monkeypatch):
         coeffs = _fourier_kernels(xi, geometry, kind, config)
         live = np.union1d(coeffs[0], coeffs[1]).size
         assert live < n
-        got, m_last = _xi_contribution((xi, geometry, kind, config))
+        got, _ = _xi_contribution((xi, geometry, kind, config))
         weights = _azimuthal_weights(config)
         want = math.fsum(
             weights[m] * log_det_contribution(solver.BlockMatrix(
                 m=m, xi=xi, entries=_assemble_block(n, m, *coeffs)))
-            for m in range(m_last + 1)
+            for m in range(config.n_azimuthal // 2 + 1)
         )
         assert got == pytest.approx(want, rel=1e-14)
 
