@@ -223,7 +223,7 @@ class ExactAmplitudes:
             ell += 1
 
 
-def wkb_diffraction_s(xi, p_diff):
+def wkb_diffraction_s(xi, p_diff, h=None):
     """Diffraction corrections (s_perp, s_par) of the order-1/R WKB amplitude.
 
     s_perp = (1/2 xi) cos(Theta)/sin^3(Theta/2), s_par = -(1/2 xi)/sin^3(Theta/2),
@@ -231,10 +231,11 @@ def wkb_diffraction_s(xi, p_diff):
     h = sqrt((2 xi^2 + p_diff)/2), p_diff = P - xi^2 >= 0 as in
     reflection._p_diff: s_perp = -(xi^2 + p_diff)/(2 h^3) and
     s_par = -xi^2/(2 h^3).  Both are strictly negative.  Vectorized over
-    broadcastable (xi, p_diff).
+    broadcastable (xi, p_diff); a caller that already has h passes it.
     """
     xi2 = xi * xi
     p_dot = xi2 + p_diff
-    h = np.sqrt(0.5 * (xi2 + p_dot))
-    inv2h3 = 0.5 / h**3
-    return -(p_dot * inv2h3), -(xi2 * inv2h3)
+    if h is None:
+        h = np.sqrt(0.5 * (xi2 + p_dot))
+    minus_inv2h3 = -0.5 / h**3
+    return p_dot * minus_inv2h3, xi2 * minus_inv2h3

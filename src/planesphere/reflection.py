@@ -136,7 +136,8 @@ def _amplitudes(xi, p_diff, rho, kind) -> Amplitudes:
 
     The WKB kinds use S_p = (-1)^p (xi R/2) e^{2 xi R sin(Theta/2)} f_p
     (p=1 perp, p=2 par) with xi sin(Theta/2) = sqrt((2 xi^2 + p_diff)/2):
-    f_p = 1 for wkb0 and f_p = e^{s_p/R} for wkb1 (s_p of mie.wkb_diffraction_s).
+    f_p = 1 for wkb0 (perp and par are then the scalars -1 and 1) and
+    f_p = e^{s_p/R} for wkb1 (s_p of mie.wkb_diffraction_s).
     """
     xi2 = xi * xi
     if kind is KernelKind.EXACT_MIE:
@@ -154,12 +155,11 @@ def _amplitudes(xi, p_diff, rho, kind) -> Amplitudes:
         # near backscattering at small xi (the glory region), which destroys
         # contraction of the discretized block even though that region's
         # true contribution is negligible.
-        s_perp, s_par = wkb_diffraction_s(xi, p_diff)
+        s_perp, s_par = wkb_diffraction_s(xi, p_diff, h)
         par = np.exp(s_par / rho)
         perp = -np.exp(s_perp / rho)
     else:
-        par = np.ones_like(h)
-        perp = np.full_like(h, -1.0)
+        par, perp = 1.0, -1.0
     return Amplitudes(perp, par, 2.0 * rho * h, math.pi * rho)
 
 
@@ -196,8 +196,13 @@ def round_trip_element(xi, k_in, k_out, dphi, rho, kind) -> Channels:
     """
     el = sphere_element(xi, k_in, k_out, dphi, rho, kind)
     kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
-    log_scale = (el.log_scale - (kap_in + kap_out) * (1.0 + rho)
-                 - 0.5 * (np.log(kap_in) + np.log(kap_out)))
+    # sphere_element's arrays are its own, and already of the full shape, so
+    # they are updated in place (augmented assignment also takes scalars)
+    ee, me, log_scale = el.ee, el.me, el.log_scale
+    log_scale -= (kap_in + kap_out) * (1.0 + rho)
+    log_scale -= 0.5 * (np.log(kap_in) + np.log(kap_out))
     # the plane's Fresnel coefficient of the incoming channel: +1 TM, -1 TE
-    return el._replace(ee=-el.ee, me=-el.me, log_scale=log_scale)
+    ee *= -1.0
+    me *= -1.0
+    return el._replace(ee=ee, me=me, log_scale=log_scale)
 

@@ -34,9 +34,25 @@ dropped, and the samples beyond the window are taken as 0.  The kept pairs
 are sorted by w and processed in chunks of about CHUNK_SAMPLES samples, each
 sampled on its widest window by one round_trip_element call, which for
 exact-mie makes that chunk's own partial-wave sum; the element, the scale
-and the transform see only those columns.  One inverse real FFT
+and the transform see only those columns.  A chunk is sampled with one row
+per dphi and one column per pair, and one inverse real FFT along its rows
 serves each pair of channels, (MM, X_ij) and (EE, X_ji): the cosine and sine
-coefficients are the even and odd parts in m of its output.
+coefficients are the even and odd parts in m of its output, written m-major
+into one coefficient array per sector.
+
+Assembly.  The blocks of a xi node share one zero-filled 2n x 2n buffer.
+The flat positions of every kept pair's entries in its lower triangle are
+computed once per node, and each factored m writes its coefficient rows
+there, one scatter per sector; the same positions are overwritten at every m, so
+nothing else in the buffer changes.  np.linalg.cholesky reads only the
+lower triangle and the diagonal, so the upper triangle is never filled.
+
+wkb0 parity split.  For wkb0, S_perp = -S_par makes the EE and MM
+channels, and the EM and -ME channels, equal bit for bit, so EE = MM = C
+and X_ji = X_ij, X is symmetric, and only (MM, X_ij) are transformed.  The
+block [[C, X], [X, C]] is orthogonally similar to diag(C + X, C - X), so
+ln det(1 - M_m) = ln det(1 - C - X) + ln det(1 - C + X): two n x n
+factorizations instead of one 2n x 2n, a quarter of the flops.
 
 Live radial nodes.  A node that lies in no kept pair has a zero row and
 column in every block, which adds 0 to a trace and ln 1 = 0 to a log det,
@@ -149,11 +165,17 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """One azimuthal block of the symmetrized round-trip operator."""
+    """One azimuthal block of the symmetrized round-trip operator, or a wkb0 parity half.
+
+    build_blocks yields full symmetric blocks (2 n_live, 2 n_live); the
+    energy path passes log_det_contribution its reused buffer, of which only
+    the lower triangle is the block's, and for wkb0 the (n_live, n_live)
+    halves C + X and C - X (see _xi_contribution).
+    """
 
     m: int
     xi: float
-    entries: np.ndarray  # (2 n_live, 2 n_live), real symmetric
+    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -232,32 +254,38 @@ def _cos_sin_coefficients(packed: np.ndarray, m_grid: int, cos_out: np.ndarray,
                           sin_out: np.ndarray) -> None:
     """Cosine and sine coefficients m = 0 .. m_grid/2 of two channels from one transform.
 
-    packed holds (f - i g)/2 on the leading columns dphi_d = 2 pi d / m_grid
-    of [0, pi], zero beyond, with f the samples of a real sequence even in
-    dphi and g those of one odd in dphi.  One inverse real FFT yields
-    y_m = (C_m + S_m)/2 with C = irfft(f) even and S = irfft(-i g) odd in m,
-    so C_m = y_m + y_{N-m} and S_m = y_m - y_{N-m}, written into cos_out and
-    sin_out (halving is exact, so these equal the separate transforms up to
-    the rounding of one addition).
+    packed holds (f - i g)/2 on the leading rows dphi_d = 2 pi d / m_grid
+    of [0, pi], zero beyond, one column per sequence, with f the samples of
+    a real sequence even in dphi and g those of one odd in dphi.  One
+    inverse real FFT along the rows yields y_m = (C_m + S_m)/2 with C =
+    irfft(f) even and S = irfft(-i g) odd in m, so C_m = y_m + y_{N-m} and
+    S_m = y_m - y_{N-m}, written row by row into cos_out and sin_out (halving
+    is exact, so these equal the separate transforms up to the rounding of
+    one addition).
     """
     mh = m_grid // 2
-    y = np.fft.irfft(packed, m_grid, axis=1)
-    head, tail = y[:, 1 : mh + 1], y[:, : mh - 1 : -1]   # y_m and y_{N-m}, m >= 1
-    np.add(y[:, 0], y[:, 0], out=cos_out[:, 0])
-    sin_out[:, 0] = 0.0
-    np.add(head, tail, out=cos_out[:, 1:])
-    np.subtract(head, tail, out=sin_out[:, 1:])
+    y = np.fft.irfft(packed, m_grid, axis=0)
+    head, tail = y[1 : mh + 1], y[: mh - 1 : -1]   # y_m and y_{N-m}, m >= 1
+    np.add(y[0], y[0], out=cos_out[0])
+    sin_out[0] = 0.0
+    np.add(head, tail, out=cos_out[1:])
+    np.subtract(head, tail, out=sin_out[1:])
 
 
 def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
                      config: QuadratureConfig):
     """Per-m Fourier coefficients of the symmetrized kernels at one xi.
 
-    Returns (ii, jj, cmm, cee, x_ij, x_ji) where ii <= jj index the kept
-    radial node pairs, widest sampling window first, and each coefficient
-    array has shape (n_pairs, n_azimuthal/2 + 1).  cee already carries the
-    -1 of the TE Fresnel sign; x_ij / x_ji are the sine coefficients of the
-    mixed kernel for (out=i, in=j) and (out=j, in=i).
+    Returns (ii, jj, coef) where ii <= jj index the kept radial node pairs,
+    widest sampling window first, and coef holds one m-major array per
+    sector, coef[s][m, p] for m = 0 .. n_azimuthal/2 and pair p: the cosine
+    coefficients MM and EE (EE already carries the -1 of the TE Fresnel
+    sign) and the sine coefficients X_ij, X_ji of the mixed kernel for
+    (out=i, in=j) and (out=j, in=i).  For wkb0, whose EE and X_ji equal MM
+    and X_ij bit for bit (S_perp = -S_par), only (MM, X_ij) are sampled.
+    The sectors are separate arrays: freeing one array holding all of them
+    raised glibc's dynamic mmap threshold to its size, and with it the
+    heap that stays resident (wkb-sweep peak RSS +11 MiB).
     """
     rho = geometry.aspect_ratio
     n = config.n_radial
@@ -280,14 +308,17 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
 
     # orientation in=j -> out=i; each chunk of pairs is sampled on its
     # widest window by one round_trip_element call (for exact-mie, one
-    # partial-wave sum over that chunk's samples)
+    # partial-wave sum over that chunk's samples), one row per dphi
     k_in, k_out = k[jj], k[ii]
     delta = (2.0 * math.pi / m_grid) * np.arange(mh + 1)
-    cmm, cee, x_ij, x_ji = (np.empty((ii.size, mh + 1)) for _ in range(4))
+    parity = kind is KernelKind.WKB0
+    coef = tuple(np.empty((mh + 1, ii.size)) for _ in range(2 if parity else 4))
+    mm, x_ij = coef[0], coef[len(coef) // 2]   # (MM, EE, X_ij, X_ji) or (MM, X_ij)
     for lo, hi, w in _chunks(width):
-        el = round_trip_element(xi, k_in[lo:hi, None], k_out[lo:hi, None], delta[:w],
-                                rho, kind)
-        scale = np.exp(el.log_scale + log_wab[lo:hi, None])
+        el = round_trip_element(xi, k_in[lo:hi], k_out[lo:hi], delta[:w, None], rho, kind)
+        scale = el.log_scale
+        scale += log_wab[lo:hi]
+        np.exp(scale, out=scale)
         scale *= 0.5   # _cos_sin_coefficients takes half the samples
         # the similarity diag(1, -i) on the TE sector flips the sign of the
         # TE <- TM channel: X_ij is the sine transform of me, X_ji of -em
@@ -295,59 +326,79 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
         np.multiply(el.mm, scale, out=packed.real)
         np.multiply(el.me, scale, out=packed.imag)
         np.negative(packed.imag, out=packed.imag)
-        _cos_sin_coefficients(packed, m_grid, cmm[lo:hi], x_ij[lo:hi])
-        np.multiply(el.ee, scale, out=packed.real)
-        np.multiply(el.em, scale, out=packed.imag)
-        _cos_sin_coefficients(packed, m_grid, cee[lo:hi], x_ji[lo:hi])
-    return ii, jj, cmm, cee, x_ij, x_ji
+        _cos_sin_coefficients(packed, m_grid, mm[:, lo:hi], x_ij[:, lo:hi])
+        if not parity:
+            np.multiply(el.ee, scale, out=packed.real)
+            np.multiply(el.em, scale, out=packed.imag)
+            _cos_sin_coefficients(packed, m_grid, coef[1][:, lo:hi], coef[3][:, lo:hi])
+    return ii, jj, coef
 
 
-def _assemble_block(n, m, ii, jj, cmm, cee, x_ij, x_ji) -> np.ndarray:
-    """Scatter the pair coefficients of azimuthal order m into a 2n x 2n block."""
-    block = np.zeros((2 * n, 2 * n))
-    mm = block[:n, :n]
-    ee = block[n:, n:]
-    x = block[:n, n:]
-    mm[ii, jj] = cmm[:, m]
-    mm[jj, ii] = cmm[:, m]
-    ee[ii, jj] = cee[:, m]
-    ee[jj, ii] = cee[:, m]
-    x[ii, jj] = x_ij[:, m]
-    x[jj, ii] = x_ji[:, m]
-    block[n:, :n] = x.T
-    return block
+def _lower_positions(n: int, ii, jj, sectors: int) -> np.ndarray:
+    """Flat positions of the pair coefficients in a C-ordered 2n x 2n block, lower triangle.
 
-
-def _block_norms(ii, jj, cmm, cee, x_ij, x_ji) -> np.ndarray:
-    """Frobenius norms of the blocks of every m, from the pair coefficients.
-
-    _assemble_block writes an off-diagonal pair twice in the MM and EE
-    sectors and a diagonal pair once; the mixed sector appears twice (X and
-    X^T), with x_ji overwriting x_ij on the diagonal.
+    The block is [[MM, X], [X^T, EE]], and its lower triangle holds MM(j, i),
+    EE(j, i) and all of X^T: X^T(j, i) = X_ij and X^T(i, j) = X_ji for a
+    pair i <= j.  A diagonal pair i = j has one mixed entry, which takes
+    X_ji; its X_ij goes to the mirror position in the strict upper
+    triangle, which nothing reads.  Returns shape (sectors, 4 // sectors,
+    n_pairs): four sectors (MM, EE, X_ij, X_ji) at one position each, or,
+    for wkb0, two (C, X) with C at the MM and EE positions and X at both
+    mixed ones.
     """
-    off = (ii != jj).astype(float)
-    both = 1.0 + off
-    sq = (
-        np.einsum("p,pm,pm->m", both, cmm, cmm)
-        + np.einsum("p,pm,pm->m", both, cee, cee)
-        + 2.0 * np.einsum("p,pm,pm->m", off, x_ij, x_ij)
-        + 2.0 * np.einsum("pm,pm->m", x_ji, x_ji)
-    )
-    return np.sqrt(sq)
+    dim = 2 * n
+    mm = jj * dim + ii
+    ee = mm + (n * dim + n)
+    x_ij = np.where(ii == jj, ii * dim + n + jj, (n + jj) * dim + ii)
+    x_ji = (n + ii) * dim + jj
+    return np.stack((mm, ee, x_ij, x_ji)).reshape(sectors, 4 // sectors, -1)
 
 
-def _closed_form_log_dets(ii, jj, cmm, cee, norms, weights, log_det0):
+def _assemble_block(out: np.ndarray, m: int, positions: np.ndarray, coef) -> np.ndarray:
+    """Write the pair coefficients of azimuthal order m into the lower triangle of out.
+
+    out is the 2n x 2n buffer that positions (of _lower_positions) index;
+    every call writes the same positions, so one zero-filled buffer serves
+    every m of a xi node.  Returns out, whose strict upper triangle is not
+    the block's.
+    """
+    flat = out.ravel()
+    for sector, values in zip(positions, coef):
+        flat[sector] = values[m]
+    return out
+
+
+def _block_moments(positions: np.ndarray, dim: int, coef):
+    """tr M_m and the Frobenius norm of M_m for every m, from the pair coefficients.
+
+    A position on the diagonal counts once in the norm and in the trace, one
+    in the strict lower triangle twice in the norm (its mirror), and one in
+    the strict upper triangle not at all.  All entries but those of the
+    diagonal pairs share the largest norm weight, so the squared norm is
+    that weight times the sum of squares, corrected on the diagonal pairs.
+    """
+    row, col = np.divmod(positions, dim)
+    on_diag = (row == col).sum(axis=1)
+    norm_w = on_diag + 2 * (row > col).sum(axis=1)
+    top = norm_w.max()
+    trace = squares = 0.0
+    for values, d, w in zip(coef, on_diag, norm_w):
+        diag, other = np.flatnonzero(d), np.flatnonzero(w != top)
+        trace = trace + values[:, diag] @ d[diag].astype(float)
+        squares = (squares + top * np.vecdot(values, values)
+                   + values[:, other] ** 2 @ (w[other] - top).astype(float))
+    return trace, np.sqrt(squares)
+
+
+def _closed_form_log_dets(trace, norms, weights, log_det0):
     """Second-order Mercator ln det(1 - M_m) = -tr M_m - f_m^2/2 for every m.
 
     Returns the values and the mask of the blocks m >= 1 for which they are
     exact to CLOSED_FORM_TAIL |log_det0|: f_m < 1 and the weighted tail
     bound weights_m f_m^3 / (3 (1 - f_m)) within that share.  Where the
     factored log_det0 rounds to exactly 0 (every entry below the rounding
-    of 1 - M_0), the share is taken of |values[0]| instead.  The traces
-    sum the diagonal pairs of the MM and EE sectors.
+    of 1 - M_0), the share is taken of |values[0]| instead.
     """
-    diag = ii == jj
-    trace = cmm[diag].sum(axis=0) + cee[diag].sum(axis=0)
     values = -trace - 0.5 * norms * norms
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = weights * norms ** 3 / (3.0 * (1.0 - norms))
@@ -361,29 +412,33 @@ def _live_kernels(xi: float, geometry: Geometry, kind: KernelKind,
                   config: QuadratureConfig):
     """_fourier_kernels with the pairs indexed over the live radial nodes.
 
-    Returns (n_live, ii, jj, cmm, cee, x_ij, x_ji): the live nodes are those
-    in at least one kept pair, and ii, jj give each pair's positions among
-    them, so _assemble_block(n_live, ...) builds a block without the zero
-    rows and columns of the other nodes.
+    Returns (n_live, positions, coef): the live nodes are those in at least
+    one kept pair, and positions (of _lower_positions) place each pair among
+    them, so _assemble_block builds a 2 n_live x 2 n_live block without the
+    zero rows and columns of the other nodes.
     """
-    ii, jj, cmm, cee, x_ij, x_ji = _fourier_kernels(xi, geometry, kind, config)
+    ii, jj, coef = _fourier_kernels(xi, geometry, kind, config)
     live = np.zeros(config.n_radial, dtype=bool)
     live[ii] = live[jj] = True
     index = np.cumsum(live) - 1   # position of each live node among the live ones
-    return int(np.count_nonzero(live)), index[ii], index[jj], cmm, cee, x_ij, x_ji
+    n_live = int(np.count_nonzero(live))
+    return n_live, _lower_positions(n_live, index[ii], index[jj], len(coef)), coef
 
 
 def _iter_blocks(xi: float, geometry: Geometry, kind: KernelKind,
                  config: QuadratureConfig) -> Iterator[BlockMatrix]:
-    """Yield the blocks m = 0 .. n_azimuthal/2 over the live radial nodes.
+    """Yield the blocks m = 0 .. n_azimuthal/2 over the live radial nodes, in full.
 
     A node where no pair is kept yields none.
     """
-    n_live, *coeffs = _live_kernels(xi, geometry, kind, config)
+    n_live, positions, coef = _live_kernels(xi, geometry, kind, config)
     if n_live == 0:
         return
+    lower = np.zeros((2 * n_live, 2 * n_live))
     for m in range(config.n_azimuthal // 2 + 1):
-        yield BlockMatrix(m=m, xi=xi, entries=_assemble_block(n_live, m, *coeffs))
+        block = np.tril(_assemble_block(lower, m, positions, coef))
+        block += np.tril(block, -1).T
+        yield BlockMatrix(m=m, xi=xi, entries=block)
 
 
 def build_blocks(xi: float, geometry: Geometry, kind: KernelKind,
@@ -393,10 +448,11 @@ def build_blocks(xi: float, geometry: Geometry, kind: KernelKind,
 
 
 def log_det_contribution(block: BlockMatrix) -> float:
-    """ln det(1 - M_m) by Cholesky factorization of the symmetric 1 - M_m.
+    """ln det(1 - M) by Cholesky factorization of the symmetric 1 - M.
 
+    Only the lower triangle and the diagonal of block.entries are read.
     The caller applies the (2 - delta_m0) degeneracy weight.  Failure of the
-    factorization means 1 - M_m is not positive definite, i.e. the
+    factorization means 1 - M is not positive definite, i.e. the
     discretized round trip is not contractive.
     """
     a = -block.entries
@@ -422,23 +478,30 @@ def _xi_contribution(args) -> tuple[float, int]:
     """Sum_m (2 - delta_m0) ln det(1 - M_m) at one xi node; returns (sum, m factored).
 
     The sum runs to n_azimuthal/2.  Blocks admitted by _closed_form_log_dets
-    are summed in closed form; the others are assembled and factored over
-    the live radial nodes, and the largest m among them is returned (0 when
-    only M_0 is factored, -1 where no pair is kept).
+    are summed in closed form; the others are assembled into one reused
+    buffer and factored over the live radial nodes, and the largest m among
+    them is returned (0 when only M_0 is factored, -1 where no pair is
+    kept).  A wkb0 block [[C, X], [X, C]] (X symmetric) is factored as its
+    two parity halves: ln det(1 - C - X) + ln det(1 - C + X).
     """
     xi, geometry, kind, config = args
-    n_live, ii, jj, cmm, cee, x_ij, x_ji = _live_kernels(xi, geometry, kind, config)
+    n_live, positions, coef = _live_kernels(xi, geometry, kind, config)
     if n_live == 0:
         return 0.0, -1
-    norms = _block_norms(ii, jj, cmm, cee, x_ij, x_ji)
+    trace, norms = _block_moments(positions, 2 * n_live, coef)
     weights = _azimuthal_weights(config)
+    lower = np.zeros((2 * n_live, 2 * n_live))
 
     def factored(m: int) -> float:
-        block = _assemble_block(n_live, m, ii, jj, cmm, cee, x_ij, x_ji)
-        return log_det_contribution(BlockMatrix(m=m, xi=xi, entries=block))
+        block = _assemble_block(lower, m, positions, coef)
+        if kind is not KernelKind.WKB0:
+            return log_det_contribution(BlockMatrix(m=m, xi=xi, entries=block))
+        c, x = block[:n_live, :n_live], block[n_live:, :n_live]
+        return (log_det_contribution(BlockMatrix(m=m, xi=xi, entries=c + x))
+                + log_det_contribution(BlockMatrix(m=m, xi=xi, entries=c - x)))
 
     log_det0 = factored(0)
-    closed, exact = _closed_form_log_dets(ii, jj, cmm, cee, norms, weights, log_det0)
+    closed, exact = _closed_form_log_dets(trace, norms, weights, log_det0)
     total = weights[0] * log_det0
     for m in range(1, norms.size):
         total += weights[m] * (closed[m] if exact[m] else factored(m))
@@ -503,11 +566,14 @@ def energy(geometry: Geometry, kind: KernelKind,
     threads > 1 distributes nodes over a process pool whose workers run
     BLAS on one thread each (results are summed in fixed node order
     regardless of scheduling).  A serial solve also runs BLAS on one
-    thread, restoring the previous count when it returns or raises.
+    thread, restoring the previous count when it returns or raises; a
+    thread count below 1 raises ValueError.
     diagnostics["m_factored"] lists, per xi node, the largest m whose block
     was factored rather than summed in closed form (0 when only M_0 was,
     -1 where no radial pair is kept).
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if config is None:
         config = QuadratureConfig.auto(geometry)
     xi_nodes, xi_weights = half_line_nodes_weights(config.n_xi)

@@ -17,12 +17,13 @@ from planesphere.solver import (
     QuadratureConfig,
     _assemble_block,
     _azimuthal_weights,
-    _block_norms,
+    _block_moments,
     _bound_offset,
     _closed_form_log_dets,
     _cos_sin_coefficients,
     _fourier_kernels,
     _live_columns,
+    _lower_positions,
     _xi_contribution,
     build_blocks,
     energy,
@@ -36,6 +37,32 @@ def small_config(**overrides) -> QuadratureConfig:
     defaults = dict(n_radial=16, n_azimuthal=64, n_xi=8)
     defaults.update(overrides)
     return QuadratureConfig(**defaults)
+
+
+def _dense_block(n, m, ii, jj, coef):
+    """The full symmetric 2n x 2n block of order m, scattered entry by entry.
+
+    An independent reference for _assemble_block: MM and EE at (i, j) and
+    (j, i), X(i, j) = X_ij and X(j, i) = X_ji (X_ji on a diagonal pair), and
+    X^T below; for wkb0 EE = MM and X_ji = X_ij.
+    """
+    if len(coef) == 2:
+        coef = (coef[0], coef[0], coef[1], coef[1])
+    cmm, cee, x_ij, x_ji = (sector[m] for sector in coef)
+    block = np.zeros((2 * n, 2 * n))
+    mm, ee, x = block[:n, :n], block[n:, n:], block[:n, n:]
+    mm[ii, jj] = mm[jj, ii] = cmm
+    ee[ii, jj] = ee[jj, ii] = cee
+    x[ii, jj] = x_ij
+    x[jj, ii] = x_ji
+    block[n:, :n] = x.T
+    return block
+
+
+def _live_pairs(ii, jj):
+    """The number of live nodes and each pair's positions among them."""
+    live, index = np.unique(np.concatenate((ii, jj)), return_inverse=True)
+    return live.size, index[: ii.size], index[ii.size :]
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +204,22 @@ def test_wkb1_resummation_approaches_linear_form(monkeypatch):
 
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_block_norms_match_assembled_blocks(kind):
-    # the truncation rule reads block norms off the Fourier coefficients
+    # the truncation rule reads block norms and traces off the Fourier
+    # coefficients; the assembled lower triangle is the reference block's
     geometry = Geometry(R=5.0, L=1.0)
     cfg = small_config(n_radial=20)
-    ii, jj, cmm, cee, x_ij, x_ji = _fourier_kernels(0.8, geometry, kind, cfg)
-    norms = _block_norms(ii, jj, cmm, cee, x_ij, x_ji)
-    assert norms.shape == (cfg.n_azimuthal // 2 + 1,)
+    n = cfg.n_radial
+    ii, jj, coef = _fourier_kernels(0.8, geometry, kind, cfg)
+    positions = _lower_positions(n, ii, jj, len(coef))
+    trace, norms = _block_moments(positions, 2 * n, coef)
+    assert norms.shape == trace.shape == (cfg.n_azimuthal // 2 + 1,)
+    lower = np.zeros((2 * n, 2 * n))
     for m, norm in enumerate(norms):
-        block = _assemble_block(cfg.n_radial, m, ii, jj, cmm, cee, x_ij, x_ji)
+        block = _dense_block(n, m, ii, jj, coef)
         assert abs(norm - np.linalg.norm(block)) <= 1e-12 * norms[0]
+        assert abs(trace[m] - np.trace(block)) <= 1e-12 * norms[0]
+        assembled = _assemble_block(lower, m, positions, coef)
+        assert np.array_equal(np.tril(assembled), np.tril(block))
 
 
 def test_spectral_radius_below_one():
@@ -239,16 +273,16 @@ def test_closed_form_log_det_within_mercator_tail(kind):
     geometry = Geometry(R=5.0, L=1.0)
     cfg = small_config(n_radial=20)
     xi = 0.8
+    n = cfg.n_radial
     coeffs = _fourier_kernels(xi, geometry, kind, cfg)
-    ii, jj, cmm, cee, _, _ = coeffs
-    norms = _block_norms(*coeffs)
+    ii, jj, coef = coeffs
+    trace, norms = _block_moments(_lower_positions(n, ii, jj, len(coef)), 2 * n, coef)
     log_det0 = log_det_contribution(solver.BlockMatrix(
-        m=0, xi=xi, entries=_assemble_block(cfg.n_radial, 0, *coeffs)))
-    closed, exact = _closed_form_log_dets(
-        ii, jj, cmm, cee, norms, _azimuthal_weights(cfg), log_det0)
+        m=0, xi=xi, entries=_dense_block(n, 0, *coeffs)))
+    closed, exact = _closed_form_log_dets(trace, norms, _azimuthal_weights(cfg), log_det0)
     assert 0 < exact.sum() < exact.size
     for m in np.flatnonzero(exact):
-        block = _assemble_block(cfg.n_radial, m, *coeffs)
+        block = _dense_block(n, m, *coeffs)
         reference = math.fsum(np.log1p(-np.linalg.eigvalsh(block)))
         f = norms[m]
         assert abs(closed[m] - reference) <= f**3 / (3.0 * (1.0 - f)) + 1e-15
@@ -257,10 +291,8 @@ def test_closed_form_log_det_within_mercator_tail(kind):
 def test_closed_form_admits_only_small_blocks_past_m0():
     # m = 0 and any block with f >= 1 (where the tail bound fails) are
     # always factored
-    pair = np.array([0])
-    coeff = np.zeros((1, 5))
     norms = np.array([1e-9, 2.0, 1.0, 1e-9, 1e-3])
-    _, exact = _closed_form_log_dets(pair, pair, coeff, coeff, norms,
+    _, exact = _closed_form_log_dets(np.zeros(5), norms,
                                      np.array([1.0, 2.0, 2.0, 2.0, 1.0]), -1.0)
     assert exact.tolist() == [False, False, False, True, False]
 
@@ -292,7 +324,8 @@ def test_closed_form_takes_blocks_where_cholesky_rounds_to_zero(rho, monkeypatch
         factored.clear()
         total, m_factored = _xi_contribution((xi, geometry, kind, config))
         assert m_factored == 0
-        assert factored == [0]
+        # wkb0 factors M_0 as its two parity halves
+        assert factored == [0] * (2 if kind is KernelKind.WKB0 else 1)
         assert total < 0.0
 
 
@@ -350,7 +383,7 @@ def test_traces_match_full_size_blocks_up_to_nyquist():
     geometry, config, xi, kind = _criterion5_setup()
     coeffs = _fourier_kernels(xi, geometry, kind, config)
     weights = _azimuthal_weights(config)
-    full = [_assemble_block(config.n_radial, m, *coeffs)
+    full = [_dense_block(config.n_radial, m, *coeffs)
             for m in range(config.n_azimuthal // 2 + 1)]
     for r in (1, 2):
         want = math.fsum(weights[m] * float(np.trace(np.linalg.matrix_power(block, r)))
@@ -438,12 +471,49 @@ def test_windowed_kernels_match_full_window(rho, kind):
     mh = config.n_azimuthal // 2
     xi_nodes, _ = half_line_nodes_weights(config.n_xi)
     for xi in (float(xi_nodes[i]) for i in (5, 20, 30)):
-        ii, jj, *got = _fourier_kernels(xi, geometry, kind, config)
+        ii, jj, coef = _fourier_kernels(xi, geometry, kind, config)
+        # wkb0 keeps (MM, X_ij), which must match the EE and X_ji rows too
+        sectors = [0, 1, 2, 3] if len(coef) == 4 else [0, 0, 1, 1]
+        got = [coef[s].T for s in sectors]
         want = _full_window_coefficients(xi, geometry, kind, config, ii, jj)
         row_max = np.max([np.max(np.abs(w), axis=1) for w in want], axis=0)[:, None]
         limit = (mh + 1) * math.exp(solver.PRUNE_LOG_CUTOFF) + 1e-15 * row_max
         for g, w in zip(got, want):
             assert np.all(np.abs(g - w) <= limit)
+
+
+def test_wkb0_te_channels_equal_tm_channels_bit_for_bit():
+    # S_perp = -S_par makes EE = MM and EM = -ME exactly, which lets the
+    # solver sample and factor wkb0 from its TM channels alone; diagonal
+    # pairs at dphi = pi (backscattering) included
+    rng = np.random.default_rng(12)
+    xi = np.exp(rng.uniform(-7.0, 2.0, (5, 1, 1, 1)))
+    k = np.exp(rng.uniform(-4.0, 3.0, 6))
+    k_in, k_out = k[None, :, None, None], k[None, None, :, None]
+    dphi = np.concatenate((rng.uniform(0.0, math.pi, 7), [0.0, math.pi]))
+    el = round_trip_element(xi, k_in, k_out, dphi[None, None, None, :], 50.0, KernelKind.WKB0)
+    assert el.mm.shape == (5, 6, 6, 9)
+    assert np.array_equal(el.ee, el.mm)
+    assert np.array_equal(el.em, -el.me)
+
+
+def test_wkb0_kernels_te_rows_equal_tm_rows(monkeypatch):
+    # feed the TE channels (EE, -EM) through the TM sampling path: the
+    # coefficients must not change by a bit
+    geometry = Geometry(R=50.0, L=1.0)
+    config = QuadratureConfig.auto(geometry)
+    xi = float(half_line_nodes_weights(config.n_xi)[0][10])
+    ii, jj, tm = _fourier_kernels(xi, geometry, KernelKind.WKB0, config)
+
+    def te_as_tm(*args):
+        el = round_trip_element(*args)
+        return el._replace(mm=el.ee, me=-el.em)
+
+    monkeypatch.setattr(solver, "round_trip_element", te_as_tm)
+    ii_te, jj_te, te = _fourier_kernels(xi, geometry, KernelKind.WKB0, config)
+    assert ii.size > 0 and np.array_equal(ii_te, ii) and np.array_equal(jj_te, jj)
+    assert len(tm) == len(te) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(te, tm))
 
 
 @pytest.mark.parametrize("m_grid", [16, 64, 256])
@@ -454,13 +524,14 @@ def test_packed_transform_matches_separate_transforms(m_grid):
     odd = rng.standard_normal((40, mh + 1)) * np.exp(rng.uniform(-5.0, 5.0, (40, 1)))
     odd[:, [0, mh]] = 0.0   # an odd sequence vanishes at dphi = 0 and pi
     for width in (mh + 1, mh // 2, 1):
-        cos, sin = np.empty((2, 40, mh + 1))
-        _cos_sin_coefficients(0.5 * (even - 1j * odd)[:, :width], m_grid, cos, sin)
+        # one column per sequence, samples and coefficients along the rows
+        cos, sin = np.empty((2, mh + 1, 40))
+        _cos_sin_coefficients(0.5 * (even - 1j * odd)[:, :width].T, m_grid, cos, sin)
         want_cos = np.fft.irfft(even[:, :width], m_grid, axis=1)[:, : mh + 1]
         want_sin = np.fft.irfft(-1j * odd[:, :width], m_grid, axis=1)[:, : mh + 1]
         row_max = np.maximum(np.abs(want_cos).max(axis=1), np.abs(want_sin).max(axis=1))
-        assert np.all(np.abs(cos - want_cos) <= 1e-15 * row_max[:, None])
-        assert np.all(np.abs(sin - want_sin) <= 1e-15 * row_max[:, None])
+        assert np.all(np.abs(cos.T - want_cos) <= 1e-15 * row_max[:, None])
+        assert np.all(np.abs(sin.T - want_sin) <= 1e-15 * row_max[:, None])
 
 
 def test_live_node_factoring_matches_full_blocks(monkeypatch):
@@ -480,10 +551,58 @@ def test_live_node_factoring_matches_full_blocks(monkeypatch):
         weights = _azimuthal_weights(config)
         want = math.fsum(
             weights[m] * log_det_contribution(solver.BlockMatrix(
-                m=m, xi=xi, entries=_assemble_block(n, m, *coeffs)))
+                m=m, xi=xi, entries=_dense_block(n, m, *coeffs)))
             for m in range(config.n_azimuthal // 2 + 1)
         )
         assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_reused_buffer_factoring_matches_dense_blocks(kind, monkeypatch):
+    # every block factored (CLOSED_FORM_TAIL = 0) at R/L = 50: each ln det
+    # from the reused lower-triangle buffer is bit for bit that of the full
+    # dense block over the live nodes; for wkb0 the parity halves
+    # ln det(1 - C - X) + ln det(1 - C + X) sum to slogdet of the full block
+    geometry = Geometry(R=50.0, L=1.0)
+    config = QuadratureConfig.auto(geometry)
+    xi_nodes, _ = half_line_nodes_weights(config.n_xi)
+    xi = float(xi_nodes[np.argmin(np.abs(xi_nodes - 0.5))])
+    monkeypatch.setattr(solver, "CLOSED_FORM_TAIL", 0.0)
+    factored = {}
+
+    def recording(block):
+        value = log_det_contribution(block)
+        factored.setdefault(block.m, []).append((block.entries.shape[0], value))
+        return value
+
+    monkeypatch.setattr(solver, "log_det_contribution", recording)
+    _xi_contribution((xi, geometry, kind, config))
+    ii, jj, coef = _fourier_kernels(xi, geometry, kind, config)
+    n_live, ii, jj = _live_pairs(ii, jj)
+    assert sorted(factored) == list(range(config.n_azimuthal // 2 + 1))
+    for m, calls in factored.items():
+        dense = _dense_block(n_live, m, ii, jj, coef)
+        if kind is KernelKind.WKB0:
+            assert [dim for dim, _ in calls] == [n_live, n_live]
+            sign, want = np.linalg.slogdet(np.eye(2 * n_live) - dense)
+            assert sign == 1.0
+            assert calls[0][1] + calls[1][1] == pytest.approx(want, rel=1e-13)
+        else:
+            want = log_det_contribution(solver.BlockMatrix(m=m, xi=xi, entries=dense))
+            assert calls == [(2 * n_live, want)]
+
+
+def test_log_det_contribution_reads_the_lower_triangle_only():
+    geometry = Geometry(R=4.0, L=1.0)
+    rng = np.random.default_rng(7)
+    for block in build_blocks(1.2, geometry, KernelKind.WKB1, small_config(n_radial=20))[:4]:
+        want = log_det_contribution(block)
+        garbage = block.entries.copy()
+        upper = np.triu_indices(garbage.shape[0], 1)
+        garbage[upper] = rng.uniform(-1e3, 1e3, upper[0].size)
+        garbage[0, -1] = np.nan
+        got = log_det_contribution(solver.BlockMatrix(m=block.m, xi=block.xi, entries=garbage))
+        assert got == want
 
 
 def _eigen_reference_energy(geometry, kind):
@@ -560,6 +679,12 @@ def test_ratio_to_pfa_approaches_one():
         ratios.append(rep.ratio_to_pfa)
         assert 0.0 < rep.ratio_to_pfa < 1.05
     assert ratios[1] > ratios[0]
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_energy_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads"):
+        energy(Geometry(R=3.0, L=1.0), KernelKind.WKB0, config=small_config(), threads=threads)
 
 
 def test_threads_do_not_change_result():
