@@ -187,7 +187,7 @@ def trace_Mr_ntlo(r: int, u: float) -> float:
     """
     if u < 0.0:
         raise ValueError("u must be >= 0")
-    return -(r * r - 1.0) * math.exp(-u) / (12.0 * r * r)
+    return (1.0 - r * r) * math.exp(-u) / (12.0 * r * r)
 
 
 # ---------------------------------------------------------------------------

@@ -230,15 +230,11 @@ def _cmd_beta_fit(args) -> dict:
 
     if not args.ratios:
         raise UsageError("beta-fit requires --ratios (comma-separated R/L values)")
-    try:
-        ratios = [float(tok) for tok in args.ratios.split(",") if tok]
-    except ValueError as exc:
-        raise UsageError(f"bad --ratios value: {exc}") from exc
-    if len(set(ratios)) < (2 if args.model == "linear" else 3):
+    if len(set(args.ratios)) < (2 if args.model == "linear" else 3):
         raise UsageError("need at least 2 (linear) or 3 (quadratic) distinct ratios")
     kind = KernelKind(args.kernel)
     samples = []
-    for rho in ratios:
+    for rho in args.ratios:
         geometry = Geometry(R=rho, L=1.0)
         config = _quadrature(args, geometry)
         rep = energy(geometry, kind, config=config, threads=args.threads)
@@ -267,12 +263,8 @@ def _cmd_beta_fit(args) -> dict:
 def _cmd_trace_terms(args) -> list[dict]:
     if not args.u:
         raise UsageError("trace-terms requires --u (comma-separated u = 2 xi L r values)")
-    try:
-        u_values = [_finite_positive(tok) for tok in args.u.split(",") if tok]
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"bad --u value: {exc}") from exc
     rows = []
-    for u in u_values:
+    for u in args.u:
         for r in range(1, args.r_max + 1):
             lead_te = trace_Mr_leading(r, u, Polarization.TE)
             lead_tm = trace_Mr_leading(r, u, Polarization.TM)
@@ -368,6 +360,10 @@ def _finite_positive(text: str) -> float:
     return value
 
 
+def _finite_positive_list(text: str) -> list[float]:
+    return [_finite_positive(tok) for tok in text.split(",") if tok]
+
+
 # every flag is declared once; each command lists only the flags it reads
 _FLAGS = {
     "--R": dict(type=float, help="sphere radius"),
@@ -386,9 +382,10 @@ _FLAGS = {
     "--out": dict(type=str, default=None),
     "--plot": dict(action="store_true",
                    help="also render a figure next to --out (needs matplotlib)"),
-    "--ratios": dict(type=str, default=None, help="comma-separated R/L values"),
+    "--ratios": dict(type=_finite_positive_list, default=None,
+                     help="comma-separated R/L values (finite, > 0)"),
     "--model": dict(choices=["linear", "quadratic"], default="quadratic"),
-    "--u": dict(type=str, default=None,
+    "--u": dict(type=_finite_positive_list, default=None,
                 help="comma-separated u = 2 xi L r values (finite, > 0)"),
     "--r-max": dict(type=_at_least_one, default=5, help="largest round-trip count r"),
 }

@@ -158,6 +158,8 @@ class ExactAmplitudes:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if np.any(z > -1.0 + 1e-9):
             raise ValueError("amplitudes require cos(Theta) <= -1")
+        if z.size == 0:
+            return tuple(np.empty_like(z) for _ in range(3))
         # |z| ascending (z descending); the caller's order is restored below
         order = np.argsort(-z, kind="stable")
         z = z[order]

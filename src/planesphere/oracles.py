@@ -16,18 +16,22 @@ are taken as directional derivatives of the analytically continued f and g
 along the complex columns of W: both functions extend holomorphically to
 complex transverse wave vectors in a neighborhood of the saddle, so nested
 central differences in real step parameters multiplying complex direction
-vectors converge like h^2 and Richardson extrapolation lifts that to h^4.
+vectors converge like h^2 and Richardson extrapolation lifts that to h^6.
+Every derivative in the module comes from the one engine mixed_derivative,
+with the one step rule h = 0.04 kappa_sp.  The polarization-summed weight
+g_function is defined for real wave vectors only, so its check takes real
+differences along the Re and Im parts of the W columns; the engine keeps
+real arguments real.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .asymptotics import hessian_eigenvalues
+from .asymptotics import AppendixD, hessian_eigenvalues
 from .core import Geometry
 from .reflection import KernelKind, round_trip_element, sphere_element
 
@@ -126,52 +130,39 @@ def w_direction(r: int, i: int, alpha: int) -> np.ndarray:
 # Richardson-extrapolated nested central differences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivativeStencil:
-    """Mixed directional derivative d^n/dt_1...dt_n by central differences.
+def mixed_derivative(func: Callable[[np.ndarray], complex], x0: np.ndarray,
+                     directions: Sequence[np.ndarray], step: float) -> complex:
+    """Mixed directional derivative d^n/dt_1...dt_n of func at x0.
 
-    Evaluates F(x0 + sum t_a u_a) on the 2^n corners t_a = +-h_a, contracts
+    Evaluates func(x0 + sum t_a u_a) on the 2^n corners t_a = +-h, contracts
     with the product of signs, and Richardson-extrapolates twice with steps
-    h, h/2, h/4, cancelling the h^2 and h^4 error terms (leaving O(h^6)).
+    h = step, step/2, step/4, cancelling the h^2 and h^4 error terms (leaving
+    O(h^6)).  func sees arrays of the dtype of x0 and the directions: real
+    in, real out.
     """
+    n = len(directions)
 
-    step: float = 0.05
+    def estimate(h: float) -> complex:
+        total = 0.0
+        for corner in range(2**n):
+            signs = [1.0 if (corner >> a) & 1 else -1.0 for a in range(n)]
+            x = x0
+            for s, u in zip(signs, directions):
+                x = x + (s * h) * u
+            total += math.prod(signs) * func(x)
+        return total / (2.0 * h) ** n
 
-    def mixed(self, func: Callable[[np.ndarray], complex], x0: np.ndarray,
-              directions: Sequence[np.ndarray]) -> complex:
-        n = len(directions)
-
-        def estimate(h: float) -> complex:
-            total = 0.0 + 0.0j
-            for corner in range(2**n):
-                signs = [1.0 if (corner >> a) & 1 else -1.0 for a in range(n)]
-                x = x0.astype(complex).copy()
-                for s, u in zip(signs, directions):
-                    x = x + (s * h) * u
-                total += math.prod(signs) * func(x)
-            return total / (2.0 * h) ** n
-
-        d1 = estimate(self.step)
-        d2 = estimate(self.step / 2.0)
-        d3 = estimate(self.step / 4.0)
-        e1 = (4.0 * d2 - d1) / 3.0
-        e2 = (4.0 * d3 - d2) / 3.0
-        return (16.0 * e2 - e1) / 15.0
+    d1, d2, d3 = (estimate(step / scale) for scale in (1.0, 2.0, 4.0))
+    e1 = (4.0 * d2 - d1) / 3.0
+    e2 = (4.0 * d3 - d2) / 3.0
+    return (16.0 * e2 - e1) / 15.0
 
 
 # ---------------------------------------------------------------------------
 # appendix quantities rebuilt numerically
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NumericF1:
-    d1: float
-    d2: float
-    d3_over_g: float
-    f1_over_g: float
-
-
-def numeric_F1(r: int, xi: float, kappa_sp: float) -> NumericF1:
+def numeric_F1(r: int, xi: float, kappa_sp: float) -> AppendixD:
     """D1, D2, D3 and F1 from finite differences of f and the scalar g.
 
     D1 contracts third v-derivatives of f pairwise over conjugate indices
@@ -183,7 +174,7 @@ def numeric_F1(r: int, xi: float, kappa_sp: float) -> NumericF1:
         raise ValueError("the NTLO saddle correction requires r >= 2")
     x0 = saddle_config(r, xi, kappa_sp)
     lam = hessian_eigenvalues(r, kappa_sp)
-    stencil = DerivativeStencil(step=0.04 * max(kappa_sp, xi))
+    step = 0.04 * kappa_sp
     f = lambda cfg: f_phase(xi, cfg)
     g = lambda cfg: g_scalar(xi, cfg)
     gsp = g_scalar(xi, x0).real
@@ -195,7 +186,7 @@ def numeric_F1(r: int, xi: float, kappa_sp: float) -> NumericF1:
         key = tuple(sorted(((i, a), (j, b), (l, c))))
         if key not in third:
             dirs = [w_direction(r, p, q) for p, q in key]
-            third[key] = stencil.mixed(f, x0, dirs)
+            third[key] = mixed_derivative(f, x0, dirs, step)
         return third[key]
 
     d1 = 0.0 + 0.0j
@@ -219,16 +210,16 @@ def numeric_F1(r: int, xi: float, kappa_sp: float) -> NumericF1:
                         w_direction(r, j, b),
                         w_direction(r, r - j, b),
                     ]
-                    d2 += stencil.mixed(f, x0, dirs) / (lam[i] * lam[j])
+                    d2 += mixed_derivative(f, x0, dirs, step) / (lam[i] * lam[j])
 
     d3 = 0.0 + 0.0j
     for i in range(1, r):
         for a in (0, 1):
             dirs = [w_direction(r, i, a), w_direction(r, r - i, a)]
-            d3 += stencil.mixed(g, x0, dirs) / lam[i]
+            d3 += mixed_derivative(g, x0, dirs, step) / lam[i]
 
     f1_over_g = (d1.real / 12.0 - d2.real / 8.0) + (d3.real / gsp) / 2.0
-    return NumericF1(d1.real, d2.real, d3.real / gsp, f1_over_g)
+    return AppendixD(d1.real, d2.real, d3.real / gsp, f1_over_g)
 
 
 def vanishing_residuals(r: int, xi: float, kappa_sp: float) -> dict[str, float]:
@@ -242,45 +233,32 @@ def vanishing_residuals(r: int, xi: float, kappa_sp: float) -> dict[str, float]:
     if r < 2:
         raise ValueError("requires r >= 2")
     x0 = saddle_config(r, xi, kappa_sp)
-    stencil = DerivativeStencil(step=0.04 * max(kappa_sp, xi))
+    step = 0.04 * kappa_sp
     f = lambda cfg: f_phase(xi, cfg)
     g = lambda cfg: g_scalar(xi, cfg)
 
     # scale for g_i: the flat-direction derivative d g / d v_{0,x}
-    g_scale = abs(stencil.mixed(g, x0, [w_direction(r, 0, 0)]))
+    g_scale = abs(mixed_derivative(g, x0, [w_direction(r, 0, 0)], step))
     g_res = max(
-        abs(stencil.mixed(g, x0, [w_direction(r, i, a)]))
+        abs(mixed_derivative(g, x0, [w_direction(r, i, a)], step))
         for i in range(1, r)
         for a in (0, 1)
     )
 
     # scale for f_{i j jbar}: a generic nonvanishing conjugate triple
-    f_scale = max(
-        abs(
-            stencil.mixed(
-                f,
-                x0,
-                [
-                    w_direction(r, i, 0),
-                    w_direction(r, j, 0),
-                    w_direction(r, (2 * r - i - j) % r, 0),
-                ],
-            )
+    if r > 2:
+        f_scale = max(
+            abs(mixed_derivative(f, x0, [w_direction(r, i, 0), w_direction(r, j, 0),
+                                         w_direction(r, (2 * r - i - j) % r, 0)], step))
+            for i in range(1, r)
+            for j in range(1, r)
+            if (i + j) % r != 0
         )
-        for i in range(1, r)
-        for j in range(1, r)
-        if (i + j) % r != 0
-    ) if r > 2 else abs(
-        stencil.mixed(f, x0, [w_direction(r, 1, 0)] * 3)
-    )
+    else:
+        f_scale = abs(mixed_derivative(f, x0, [w_direction(r, 1, 0)] * 3, step))
     f_res = max(
-        abs(
-            stencil.mixed(
-                f,
-                x0,
-                [w_direction(r, i, a), w_direction(r, j, b), w_direction(r, r - j, b)],
-            )
-        )
+        abs(mixed_derivative(f, x0, [w_direction(r, i, a), w_direction(r, j, b),
+                                     w_direction(r, r - j, b)], step))
         for i in range(1, r)
         for j in range(1, r)
         for a in (0, 1)
@@ -295,13 +273,14 @@ def vanishing_residuals(r: int, xi: float, kappa_sp: float) -> dict[str, float]:
 def hessian_counter_diagonal(r: int, xi: float, kappa_sp: float) -> float:
     """Max deviation of (W^T H_xx W)_{jl} from lambda_j delta_{j, r-l}."""
     x0 = saddle_config(r, xi, kappa_sp)
-    stencil = DerivativeStencil(step=0.04 * max(kappa_sp, xi))
+    step = 0.04 * kappa_sp
     f = lambda cfg: f_phase(xi, cfg)
     lam = hessian_eigenvalues(r, kappa_sp)
     worst = 0.0
     for j in range(r):
         for l in range(r):
-            val = stencil.mixed(f, x0, [w_direction(r, j, 0), w_direction(r, l, 0)])
+            dirs = [w_direction(r, j, 0), w_direction(r, l, 0)]
+            val = mixed_derivative(f, x0, dirs, step)
             want = lam[j] if (j + l) % r == 0 else 0.0
             worst = max(worst, abs(val - want))
     return worst
@@ -313,46 +292,33 @@ def polarization_mixing_cancellation(r: int, xi: float, kappa_sp: float) -> floa
     Evaluates the conjugate Hessian sum sum_i g_{i ibar} / 2 lambda_i once
     with the full polarization-summed weight g_function (including the
     chi-rotation factors of the matrix elements) and once with twice the
-    scalar chi = 0 weight, and returns their difference scaled by the latter.  Uses real
-    two-sided displacements along Re/Im parts of the W columns expanded by
-    bilinearity, since the full weight is only defined for real wave
-    vectors.
+    scalar chi = 0 weight, and returns their difference scaled by the
+    latter.  The full weight is only defined for real wave vectors, so each
+    g_{i ibar} is expanded by bilinearity into real second derivatives along
+    the Re and Im parts of the W columns.
     """
-    if r < 2:
-        raise ValueError("requires r >= 2")
-    k_sp = math.sqrt(kappa_sp**2 - xi**2)
-    if k_sp <= 0.0:
-        raise ValueError("needs kappa_sp > xi for a nondegenerate saddle")
+    if r < 2 or kappa_sp <= xi:
+        raise ValueError("requires r >= 2 and kappa_sp > xi (a nondegenerate saddle)")
     lam = hessian_eigenvalues(r, kappa_sp)
-
-    x0 = np.zeros((r, 2))
-    x0[:, 0] = k_sp
+    x0 = saddle_config(r, xi, kappa_sp).real
+    step = 0.04 * kappa_sp
 
     def conj_hessian(func) -> float:
         total = 0.0
-        h = 0.03 * kappa_sp
         for i in range(1, r):
             for alpha in (0, 1):
                 u = w_direction(r, i, alpha)
                 v = w_direction(r, r - i, alpha)
-                # d^2/du dv by bilinearity over real/imaginary parts:
                 # d_u d_v = d_ur d_vr - d_ui d_vi + i(d_ur d_vi + d_ui d_vr);
                 # the result is real by conjugate symmetry, so only the first
-                # two second differences are needed
-                for (p, q, sgn) in ((u.real, v.real, 1.0), (u.imag, v.imag, -1.0)):
-                    def d2(hh):
-                        return (
-                            func(x0 + hh * p + hh * q)
-                            - func(x0 + hh * p - hh * q)
-                            - func(x0 - hh * p + hh * q)
-                            + func(x0 - hh * p - hh * q)
-                        ) / (4.0 * hh * hh)
-                    val = (4.0 * d2(h / 2.0) - d2(h)) / 3.0
-                    total += sgn * val / (2.0 * lam[i])
+                # two second derivatives are needed
+                d_uv = (mixed_derivative(func, x0, [u.real, v.real], step)
+                        - mixed_derivative(func, x0, [u.imag, v.imag], step))
+                total += d_uv / (2.0 * lam[i])
         return total
 
     full = conj_hessian(lambda config: g_function(xi, config))
-    pair = conj_hessian(lambda config: 2.0 * g_scalar(xi, config.astype(complex)).real)
+    pair = conj_hessian(lambda config: 2.0 * g_scalar(xi, config).real)
     scale = abs(pair) if pair != 0.0 else 1.0
     return abs(full - pair) / scale
 
@@ -370,7 +336,7 @@ def d_pq_classes(r: int, xi: float, kappa_sp: float) -> dict[str, float]:
         raise ValueError("class check intended for r in {2, 3, 4}")
     k_sp = math.sqrt(kappa_sp**2 - xi**2)
     x0 = saddle_config(r, xi, kappa_sp)
-    stencil = DerivativeStencil(step=0.04 * kappa_sp)
+    step = 0.04 * kappa_sp
 
     def eta_leg(p):
         return lambda config: _eta_c(xi, config[p], config[(p + 1) % r])
@@ -385,8 +351,10 @@ def d_pq_classes(r: int, xi: float, kappa_sp: float) -> dict[str, float]:
         for a in (0, 1):
             for b in (0, 1):
                 for c in (0, 1):
-                    da = stencil.mixed(eta_leg(p), x0, [unit(m, a), unit(n, b), unit(s, c)])
-                    db = stencil.mixed(eta_leg(q), x0, [unit(t, a), unit(u, b), unit(w, c)])
+                    da = mixed_derivative(eta_leg(p), x0,
+                                          [unit(m, a), unit(n, b), unit(s, c)], step)
+                    db = mixed_derivative(eta_leg(q), x0,
+                                          [unit(t, a), unit(u, b), unit(w, c)], step)
                     total += (da * db).real
         return total
 

@@ -134,7 +134,11 @@ def test_ntlo_traces_match_saddle_numeric():
 
 
 def test_ntlo_trace_vanishes_for_r1():
-    assert trace_Mr_ntlo(1, 2.0) == 0.0
+    # +0.0, not -0.0: reports print the value ("-0.0" in JSON, "-0" in CSV)
+    for u in (0.5, 2.0):
+        value = trace_Mr_ntlo(1, u)
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0
 
 
 # ---------------------------------------------------------------------------

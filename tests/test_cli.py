@@ -9,9 +9,10 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from planesphere import cli
 from planesphere.cli import emit_csv, emit_json, main
 from planesphere.core import Geometry
-from planesphere.solver import QuadratureConfig
+from planesphere.solver import NonContractiveKernelError, QuadratureConfig
 
 
 def read_csv(text):
@@ -292,12 +293,19 @@ def test_flags_a_command_does_not_read_exit_2(argv, capsys):
     ["energy", "--R", "5", "--L", "1", "--threads", "abc"],
     ["beta-fit", "--kernel", "wkb0", "--ratios", "5,5,5", "--model", "quadratic"],
     ["beta-fit", "--kernel", "wkb0", "--ratios", "30,30.0", "--model", "linear"],
+    ["beta-fit", "--kernel", "wkb0", "--ratios", "5,6,-5"],
+    ["beta-fit", "--kernel", "wkb0", "--ratios", "5,nan,7"],
 ])
-def test_invalid_values_exit_2_with_empty_stdout(argv, capsys):
+def test_invalid_values_exit_2_with_empty_stdout(argv, capsys, monkeypatch):
     # zero sizes and thread counts are rejected, not replaced by the
-    # automatic values; a length unit must be finite and positive and
-    # r_max at least 1; beta-fit needs as many distinct ratios as its model
-    # has parameters; --plot without --out fails before any report
+    # automatic values; a length unit and every ratio and u must be finite
+    # and positive and r_max at least 1; beta-fit needs as many distinct
+    # ratios as its model has parameters; --plot without --out fails before
+    # any report.  All of it is decided before any solve.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("energy() called before the arguments were checked")
+
+    monkeypatch.setattr(cli, "energy", no_solve)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -314,13 +322,17 @@ def test_plot_without_matplotlib_exits_2_before_writing(tmp_path, capsys, monkey
     assert not target.exists()
 
 
-def test_domain_error_exits_1(capsys):
-    # a bad ratio slips past argument validation and surfaces as a domain
-    # error from the geometry constructor: JSON error object, exit code 1
+def test_domain_error_exits_1(capsys, monkeypatch):
+    # a numerical failure inside a solve is reported as a JSON error object
+    # on stderr with exit code 1
+    def non_contractive(*args, **kwargs):
+        raise NonContractiveKernelError("1 - M not positive definite")
+
+    monkeypatch.setattr(cli, "energy", non_contractive)
     code, out, err = run_cli(
-        capsys, "beta-fit", "--kernel", "wkb0", "--ratios=-5,10",
+        capsys, "beta-fit", "--kernel", "wkb0", "--ratios=5,10",
         "--model", "linear",
     )
     assert code == 1
     assert out == ""
-    assert json.loads(err)["error"] == "ValueError"
+    assert json.loads(err)["error"] == "NonContractiveKernelError"

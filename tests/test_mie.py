@@ -193,6 +193,13 @@ def test_exact_amplitudes_domain_and_clip():
     assert out[0][0] == pytest.approx(ref[0][0], rel=1e-12)
 
 
+def test_exact_amplitudes_on_empty_array():
+    out = ExactAmplitudes(0.7, 3.0)(np.array([]))
+    assert len(out) == 3
+    for values in out:
+        assert values.shape == (0,) and values.dtype == float
+
+
 def test_fixed_scale_is_the_wkb_exponent():
     # the returned log scale is 2x sin(Theta/2) and the mantissas, the
     # WKB-normalised amplitudes, neither vanish nor exceed max(1, x)

@@ -8,7 +8,6 @@ from planesphere.asymptotics import appendix_D
 from planesphere.core import Geometry
 from planesphere.mie import ExactAmplitudes
 from planesphere.oracles import (
-    DerivativeStencil,
     _eta_c,
     _pair_elements,
     _radial_gl,
@@ -19,6 +18,7 @@ from planesphere.oracles import (
     g_function,
     g_scalar,
     hessian_counter_diagonal,
+    mixed_derivative,
     numeric_F1,
     polarization_mixing_cancellation,
     saddle_config,
@@ -36,7 +36,6 @@ def test_w_matrix_unitary():
 
 
 def test_derivative_stencil_polynomials():
-    stencil = DerivativeStencil(step=0.1)
     x0 = np.zeros((1, 2), dtype=complex)
     u = np.zeros((1, 2), dtype=complex)
     u[0, 0] = 1.0
@@ -44,22 +43,42 @@ def test_derivative_stencil_polynomials():
     v[0, 1] = 1.0
     f = lambda x: x[0, 0] ** 3 * x[0, 1] + 2.0 * x[0, 0] * x[0, 1]
     # d2/dx dy at 0 = 2, d4/dx^3 dy = 6
-    assert complex(stencil.mixed(f, x0, [u, v])).real == pytest.approx(2.0, abs=1e-10)
-    assert complex(stencil.mixed(f, x0, [u, u, u, v])).real == pytest.approx(
+    assert complex(mixed_derivative(f, x0, [u, v], 0.1)).real == pytest.approx(
+        2.0, abs=1e-10
+    )
+    assert complex(mixed_derivative(f, x0, [u, u, u, v], 0.1)).real == pytest.approx(
         6.0, abs=1e-8
     )
 
 
 def test_derivative_stencil_complex_direction():
     # analytic functions admit complex displacement directions
-    stencil = DerivativeStencil(step=0.05)
     x0 = np.zeros((1, 2), dtype=complex)
     u = np.zeros((1, 2), dtype=complex)
     u[0, 0] = 1.0j
     f = lambda x: np.exp(x[0, 0])
-    got = complex(stencil.mixed(f, x0, [u, u]))
+    got = complex(mixed_derivative(f, x0, [u, u], 0.05))
     assert got.real == pytest.approx(-1.0, abs=1e-9)  # (i)^2 e^0
     assert got.imag == pytest.approx(0.0, abs=1e-9)
+
+
+def test_mixed_derivative_keeps_real_arguments_real():
+    # a function of real arguments only (math.hypot would drop an imaginary
+    # part) sees real arrays when x0 and the directions are real
+    x0 = np.array([[3.0, 4.0]])
+    u = np.array([[1.0, 0.0]])
+    seen = set()
+
+    def f(x):
+        seen.add(x.dtype)
+        return math.hypot(x[0, 0], x[0, 1])
+
+    first = mixed_derivative(f, x0, [u], 0.1)
+    second = mixed_derivative(f, x0, [u, u], 0.1)
+    assert seen == {np.dtype(float)}
+    assert isinstance(first, float) and isinstance(second, float)
+    assert first == pytest.approx(0.6, abs=1e-9)  # x / |x|
+    assert second == pytest.approx(16.0 / 125.0, abs=1e-9)  # y^2 / |x|^3
 
 
 def test_f_phase_zero_on_saddle_and_positive_nearby():

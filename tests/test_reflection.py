@@ -224,3 +224,13 @@ def test_round_trip_element_applies_plane_fresnel_signs():
         for channel, sign in (("mm", 1.0), ("em", 1.0), ("ee", -1.0), ("me", -1.0)):
             assert getattr(el, channel) != 0.0
             assert getattr(rt, channel) == sign * getattr(el, channel)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_round_trip_element_on_empty_arrays(kind):
+    # an empty batch yields empty channels for every kernel, exact-mie included
+    k = np.array([])
+    channels = round_trip_element(0.9, k, k, k, 2.0, kind)
+    assert len(channels) == 5
+    for values in channels:
+        assert values.shape == (0,)
