@@ -39,6 +39,10 @@ kernels (`_amplitudes`, the only place they are computed) with the chi
 rotation, with no plane reflection; the saddle weight oracles.g_function
 calls it directly.  All of them are vectorized over broadcastable (xi,
 k_in, k_out, dphi) arrays and return mantissas with one log scale.
+The exact-mie amplitudes of a call come from mie.interpolated_amplitudes:
+direct partial-wave sums at the Chebyshev nodes of fixed panels, and
+Chebyshev interpolation for every sample (1e-11 relative to the direct
+sum), so an element does not depend on the other samples of its call.
 """
 from __future__ import annotations
 
@@ -48,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mie import ExactAmplitudes, wkb_diffraction_s
+from .mie import interpolated_amplitudes, wkb_diffraction_s
 
 
 class KernelKind(Enum):
@@ -134,7 +138,8 @@ def abcd_arrays(xi, k_in, k_out, kappa_in, kappa_out, dphi, p_diff=None):
 def _amplitudes(xi, p_diff, rho, kind) -> Amplitudes:
     """Sphere amplitudes of one kernel at cos(Theta) = -1 - p_diff / xi^2.
 
-    The WKB kinds use S_p = (-1)^p (xi R/2) e^{2 xi R sin(Theta/2)} f_p
+    exact-mie reads them off mie.interpolated_amplitudes (scalar xi).  The
+    WKB kinds use S_p = (-1)^p (xi R/2) e^{2 xi R sin(Theta/2)} f_p
     (p=1 perp, p=2 par) with xi sin(Theta/2) = sqrt((2 xi^2 + p_diff)/2):
     f_p = 1 for wkb0 (perp and par are then the scalars -1 and 1) and
     f_p = e^{s_p/R} for wkb1 (s_p of mie.wkb_diffraction_s).
@@ -142,7 +147,7 @@ def _amplitudes(xi, p_diff, rho, kind) -> Amplitudes:
     xi2 = xi * xi
     if kind is KernelKind.EXACT_MIE:
         z = -1.0 - p_diff / xi2
-        perp, par, log_amp = ExactAmplitudes(xi, rho)(np.ravel(z))
+        perp, par, log_amp = interpolated_amplitudes(xi, rho, np.ravel(z))
         shape = np.shape(z)
         return Amplitudes(perp.reshape(shape), par.reshape(shape),
                           log_amp.reshape(shape), 2.0 * math.pi / xi)

@@ -75,12 +75,12 @@ def log_bessel_i_half(ell_max: int, x: float) -> np.ndarray:
         raise ValueError("bessel argument must be positive")
     if ell_max < 0:
         raise ValueError("ell_max must be >= 0")
-    # r[ell] = I_{ell+3/2}/I_{ell+1/2}
-    r = np.empty(ell_max + 1)
-    r[ell_max] = _bessel_i_ratio(ell_max + 0.5, x)
+    # r[ell] = I_{ell+3/2}/I_{ell+1/2}, generated from ell_max down
+    r = [_bessel_i_ratio(ell_max + 0.5, x)]
     for ell in range(ell_max - 1, -1, -1):
         # 1/r_nu = 2(nu+1)/x + r_{nu+1}, nu = ell + 1/2
-        r[ell] = 1.0 / ((2.0 * ell + 3.0) / x + r[ell + 1])
+        r.append(1.0 / ((2.0 * ell + 3.0) / x + r[-1]))
+    r = np.array(r[::-1])
     out = np.empty(ell_max + 1)
     # log I_{1/2} = log(sqrt(2/(pi x))) + x + log((1 - e^{-2x})/2)
     out[0] = 0.5 * math.log(2.0 / (math.pi * x)) + x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
@@ -103,14 +103,13 @@ def log_bessel_k_half(ell_max: int, x: float) -> np.ndarray:
     if ell_max == 0:
         return out
     # t_nu = K_{nu+1}/K_nu; t_{1/2} = 1 + 1/x; t_nu = 1/t_{nu-1} + 2 nu/x
-    t = 1.0 + 1.0 / x
-    acc = np.longdouble(out[0]) + np.log(np.longdouble(t))
-    out[1] = float(acc)
+    ratios = [out[0], 1.0 + 1.0 / x]
     for ell in range(2, ell_max + 1):
-        nu = ell - 0.5
-        t = 1.0 / t + 2.0 * nu / x
-        acc += np.log(np.longdouble(t))
-        out[ell] = float(acc)
+        ratios.append(1.0 / ratios[-1] + 2.0 * (ell - 0.5) / x)
+    # extended-precision accumulation of the logs, as for I above
+    steps = np.array(ratios, dtype=np.longdouble)
+    np.log(steps[1:], out=steps[1:])
+    out[1:] = np.cumsum(steps)[1:].astype(float)
     return out
 
 
@@ -159,29 +158,44 @@ def exp_integral_e1(u: float) -> float:
 # Mie angular functions pi_ell, tau_ell on the branch z <= -1
 # ---------------------------------------------------------------------------
 
+def angular_tau(ell, z, pi, pi_prev, out=None) -> np.ndarray:
+    """tau_ell = ell z pi_ell - (ell + 1) pi_{ell-1}, on the scale of pi and pi_prev.
+
+    ell, pi and pi_prev broadcast against z: `AngularRecurrence.tau` passes
+    one order, the partial-wave sum a column of orders against rows of pi.
+    """
+    lower = np.multiply(ell + 1, pi_prev)
+    out = np.multiply(ell, z, out=out)
+    out *= pi
+    out -= lower
+    return out
+
+
 class AngularRecurrence:
     """Incremental, vectorized evaluation of pi_ell(z), tau_ell(z), z <= -1.
 
     The recurrences are
         pi_ell = ((2 ell - 1) z pi_{ell-1} - ell pi_{ell-2}) / (ell - 1),
         tau_ell = ell z pi_ell - (ell + 1) pi_{ell-1},
-    with pi_0 = 0, pi_1 = 1; each `advance` takes one step in ell.
+    with pi_0 = 0, pi_1 = 1; each `advance` takes one step in ell, and tau
+    is derived from the pi it holds (`angular_tau`).
 
-    The scale is fixed before the first step: `pi` and `tau` hold
-    pi_ell / q^(ell-1) and tau_ell / q^(ell-1), with q = |z| + sqrt(z^2-1)
-    the growth factor of the recurrence, and `log_offset` = (ell-1) log q
-    restores them.  The held values neither overflow nor underflow at any
-    ell, so `advance` is the bare recurrence.  z itself enters unrounded and
-    1/q is applied as a factor of its own: folding z/q into one rounded
-    coefficient would perturb z, which pi_ell near z = -1 amplifies ~ell^2.
-    Used as the inner loop of the exact partial-wave sums, where z is an
-    array over quadrature nodes.  `advance` works in place on four buffers
-    (pi_prev, pi, tau and one spare) and allocates nothing, so a sum whose
-    arrays shrink as it goes does not fragment the heap with ever smaller
-    arrays.  The elements are independent of one another: `drop_front`
-    stops carrying the first n of them (the sum drops elements as they
-    converge) while the rest continue unchanged, and `z` is always the
-    array of the elements still carried.
+    The scale is fixed before the first step: `pi`, `pi_prev` and `tau`
+    hold pi_ell / q^(ell-1), pi_{ell-1} / q^(ell-1) and tau_ell / q^(ell-1),
+    with q = |z| + sqrt(z^2-1) the growth factor of the recurrence, and
+    `log_offset` = (ell-1) log q restores them.  The held values neither
+    overflow nor underflow at any ell, so `advance` is the bare recurrence.
+    z itself enters unrounded and 1/q is applied as a factor of its own:
+    folding z/q into one rounded coefficient would perturb z, which pi_ell
+    near z = -1 amplifies ~ell^2.  Used as the inner loop of the exact
+    partial-wave sums, where z is an array over quadrature nodes.
+    `advance` writes the new pi and pi_prev into arrays the caller gives
+    (the partial-wave sum passes the rows of its (ell-block x elements)
+    buffers) or else into the two arrays it holds, and allocates nothing.
+    The elements are independent of one another: `drop_front` stops
+    carrying the first n of them (the sum drops elements as they converge)
+    while the rest continue unchanged, and `z` is always the array of the
+    elements still carried.
     """
 
     def __init__(self, z: np.ndarray):
@@ -196,13 +210,17 @@ class AngularRecurrence:
         self.log_q = -np.log(self.inv_q)
         self.pi_prev = np.zeros_like(z)   # pi_0
         self.pi = np.ones_like(z)         # pi_1
-        self.tau = z.copy()               # tau_1 = z
-        self._spare = np.empty_like(z)
+        self._lower = np.empty_like(z)
 
     @property
     def log_offset(self) -> np.ndarray:
         """log of the factor q^(ell-1) divided out of pi, pi_prev and tau."""
         return (self.ell - 1) * self.log_q
+
+    @property
+    def tau(self) -> np.ndarray:
+        """tau_ell / q^(ell-1), from the held pi and pi_prev."""
+        return angular_tau(self.ell, self.z, self.pi, self.pi_prev)
 
     def drop_front(self, n: int) -> None:
         """Stop carrying the first n elements; the held arrays become views."""
@@ -211,24 +229,26 @@ class AngularRecurrence:
         self.log_q = self.log_q[n:]
         self.pi_prev = self.pi_prev[n:]
         self.pi = self.pi[n:]
-        self.tau = self.tau[n:]
-        self._spare = self._spare[n:]
+        self._lower = self._lower[n:]
 
-    def advance(self) -> None:
+    def advance(self, pi=None, pi_prev=None) -> None:
+        """Step to the next order, writing its pi and pi_prev into the arrays given.
+
+        Arrays the caller gives must be distinct from those the recurrence
+        holds, which are then only read; by default the step overwrites
+        the held arrays.
+        """
         ell = self.ell + 1
-        pi_cur, pi_prev, new_pi, new_tau = self.pi, self.pi_prev, self.tau, self._spare
-        pi_cur *= self.inv_q
-        pi_prev *= self.inv_q
+        lower = np.multiply(self.pi_prev, self.inv_q, out=self._lower)
+        if pi is None:
+            pi, pi_prev = self.pi_prev, self.pi
+        # both held values onto the new scale, then
         # pi = ((2 ell - 1) z pi_cur - ell pi_prev) / (ell - 1)
-        np.multiply(2 * ell - 1, self.z, out=new_pi)
-        new_pi *= pi_cur
-        pi_prev *= ell
-        new_pi -= pi_prev
-        new_pi /= ell - 1
-        # tau = ell z pi - (ell + 1) pi_cur; pi_prev's buffer is free again
-        np.multiply(ell, self.z, out=new_tau)
-        new_tau *= new_pi
-        np.multiply(ell + 1, pi_cur, out=pi_prev)
-        new_tau -= pi_prev
-        self.pi_prev, self.pi, self.tau, self._spare = pi_cur, new_pi, new_tau, pi_prev
+        np.multiply(self.pi, self.inv_q, out=pi_prev)
+        np.multiply(2 * ell - 1, self.z, out=pi)
+        pi *= pi_prev
+        lower *= ell
+        pi -= lower
+        pi /= ell - 1
+        self.pi, self.pi_prev = pi, pi_prev
         self.ell = ell

@@ -6,10 +6,12 @@ import pathlib
 import numpy as np
 import pytest
 
+from planesphere import mie
 from planesphere.mie import (
     ExactAmplitudes,
     TruncationError,
     _mie_ab_log_arrays,
+    interpolated_amplitudes,
     wkb_diffraction_s,
 )
 from planesphere.reflection import KernelKind, _amplitudes
@@ -125,8 +127,10 @@ def test_each_element_stops_after_its_own_three_calm_terms(monkeypatch):
         pattern = patterns[z]
         return loud if ell <= len(pattern) and pattern[ell - 1] == "L" else calm
 
-    def fake_terms(self, ell, rec, log_scale, t_perp, t_par, w, tmp):
-        t_perp[:] = t_par[:] = [term(z, ell) for z in rec.z]
+    def fake_terms(self, ell, rec, log_scale, pi, tau, t_perp, t_par, w):
+        # one row per order ell, ell + 1, ... of the block
+        t_perp[:] = t_par[:] = [[term(z, ell + r) for z in rec.z]
+                                for r in range(t_perp.shape[0])]
 
     monkeypatch.setattr(ExactAmplitudes, "_terms", fake_terms)
     z = np.array([-2.0, -3.0, -1.0])
@@ -134,6 +138,79 @@ def test_each_element_stops_after_its_own_three_calm_terms(monkeypatch):
     want = [sum(term(zi, ell) for ell in range(1, stops[zi] + 1)) for zi in z]
     np.testing.assert_array_equal(mant_perp, want)
     np.testing.assert_array_equal(mant_par, want)
+
+
+def test_partial_wave_sum_does_not_depend_on_the_block_size(monkeypatch):
+    # blocks of one order up to blocks of many orders, and blocks cut by the
+    # element budget: the same sums bit for bit, stops carried across the
+    # block boundaries included
+    rng = np.random.default_rng(5)
+    batches = [(x, -1.0 - 10.0 ** rng.uniform(-12.0, 4.0, 40)) for x in (1e-3, 1.0, 60.0)]
+    want = [ExactAmplitudes(x, 1.0)(z) for x, z in batches]
+    for rows, elements in ((1, 4096), (2, 4096), (3, 7), (7, 50), (32, 1)):
+        monkeypatch.setattr(mie, "BLOCK_ROWS", rows)
+        monkeypatch.setattr(mie, "BLOCK_ELEMENTS", elements)
+        for (x, z), ref in zip(batches, want):
+            for got, values in zip(ExactAmplitudes(x, 1.0)(z), ref):
+                np.testing.assert_array_equal(got, values)
+
+
+# the sizes x = xi R and the z ranges that QuadratureConfig.auto samples at
+# R/L <= 100: |z| reaches ~1.2e7 / x^2, up to 2e9 at the smallest xi node
+INTERPOLATION_X = (0.005, 0.0176, 0.1, 1.0, 5.0, 50.0, 400.0, 2000.0)
+
+
+@pytest.mark.parametrize("x", INTERPOLATION_X)
+def test_interpolated_amplitudes_match_the_direct_sum(x):
+    """The Chebyshev interpolants against the direct sum, ExactAmplitudes.
+
+    The reference is the direct partial-wave sum over the same z.  Its own
+    rounding is not smooth in z: at x sin(Theta/2) ~ 3e3 neighbouring z
+    differ from a smooth curve by ~5e-12, which sets the 1e-11 bound.
+    """
+    z_max = min(2e9, 1.2e7 / x**2 + 10.0)
+    z = -1.0 - np.concatenate(([0.0, z_max - 1.0], np.geomspace(1e-12, z_max - 1.0, 400)))
+    got = interpolated_amplitudes(x, 1.0, z)
+    want = ExactAmplitudes(x, 1.0)(z)
+    np.testing.assert_array_equal(got[2], want[2])
+    for mant, ref in zip(got[:2], want[:2]):
+        np.testing.assert_array_equal(np.sign(mant), np.sign(ref))
+        assert np.max(np.abs(mant / ref - 1.0)) < 1e-11
+
+
+def test_interpolated_amplitudes_against_fixtures():
+    # the mpmath fixtures through reflection._amplitudes, the exact-mie
+    # kernel's own path, at the tolerance of the direct sum's fixture test
+    for perp_row, par_row in zip(load_fixtures("s_perp"), load_fixtures("s_par")):
+        x_str, z_str = perp_row[1].split("|")
+        x, z = float(x_str), float(z_str)
+        amps = _amplitudes(x, np.array([x * x * (-1.0 - z)]), 1.0, KernelKind.EXACT_MIE)
+        for got, (_, _, mant, log_scale) in ((amps.perp[0], perp_row), (amps.par[0], par_row)):
+            assert math.log(abs(got)) + amps.log_scale[0] == pytest.approx(
+                math.log(abs(mant)) + log_scale, abs=1e-10
+            )
+            assert math.copysign(1.0, got) == math.copysign(1.0, mant)
+
+
+@pytest.mark.parametrize("x", [0.0176, 3.0, 300.0])
+def test_interpolated_amplitude_does_not_depend_on_its_call(x):
+    # the panels are fixed, so a z gets the same amplitude alone, in a call
+    # that reaches much larger |z| and in a shuffled one; only the rounding
+    # of the Mie coefficients, which each call sizes to its largest |z|, may
+    # differ
+    rng = np.random.default_rng(int(x))
+    top = math.log10(min(1e3, 1.2e7 / x**2))
+    z = -1.0 - 10.0 ** rng.uniform(-10.0, top, 200)
+    wide = np.concatenate((z, -1.0 - 10.0 ** rng.uniform(top, top + 1.0, 100)))
+    perm = rng.permutation(wide.size)
+    alone = [interpolated_amplitudes(x, 1.0, z[i:i + 1]) for i in range(0, z.size, 37)]
+    batch = interpolated_amplitudes(x, 1.0, z)
+    in_wide = interpolated_amplitudes(x, 1.0, wide)
+    shuffled = interpolated_amplitudes(x, 1.0, wide[perm])
+    for k in range(3):
+        np.testing.assert_allclose(in_wide[k][: z.size], batch[k], rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(shuffled[k], in_wide[k][perm])
+        np.testing.assert_allclose([a[k][0] for a in alone], batch[k][::37], rtol=1e-14, atol=0.0)
 
 
 def test_amplitudes_wkb_limit():

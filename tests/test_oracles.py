@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from planesphere import reflection
 from planesphere.asymptotics import appendix_D
 from planesphere.core import Geometry
-from planesphere.mie import ExactAmplitudes
 from planesphere.oracles import (
     _eta_c,
     _pair_elements,
@@ -208,15 +208,15 @@ def test_brute_force_trace_r2_makes_one_amplitude_call(monkeypatch):
     # only the outgoing leg is evaluated, once over the whole grid; the
     # return leg is read off the same table
     calls = []
-    original = ExactAmplitudes.__call__
+    original = reflection._amplitudes
 
-    def counted(self, z):
-        calls.append(np.size(z))
-        return original(self, z)
+    def counted(xi, p_diff, rho, kind):
+        calls.append((np.size(p_diff), kind))
+        return original(xi, p_diff, rho, kind)
 
-    monkeypatch.setattr(ExactAmplitudes, "__call__", counted)
+    monkeypatch.setattr(reflection, "_amplitudes", counted)
     brute_force_trace(2, 1.0, Geometry(R=5.0, L=1.0), n_k=8, n_phi=16)
-    assert calls == [8 * 8 * 16]
+    assert calls == [(8 * 8 * 16, KernelKind.EXACT_MIE)]
 
 
 def test_pair_elements_backward_leg_is_the_direct_element():

@@ -758,6 +758,18 @@ def test_frozen_reference_energy_rho50():
     assert rep.energy == pytest.approx(-2.0947110987, rel=3e-6)
 
 
+@pytest.mark.parametrize("rho,reference", [
+    (10.0, -0.38188202296729407),
+    (20.0, -0.8070889038584479),
+])
+def test_exact_mie_energy_pinned(rho, reference):
+    # exact-mie energies of the auto config, pinned to the values of the
+    # direct partial-wave sum at every sample; with amplitudes read off the
+    # Chebyshev interpolants they must not drift from them
+    rep = energy(Geometry(R=rho, L=1.0), KernelKind.EXACT_MIE)
+    assert rep.energy == pytest.approx(reference, rel=1e-12)
+
+
 def test_trace_r1_positive_and_decreasing_in_xi():
     geometry = Geometry(R=5.0, L=1.0)
     cfg = small_config(n_radial=40)
