@@ -15,7 +15,8 @@ interpolated on its panel.  The interpolants agree with the direct sum to
 1e-11 relative over the ranges the solver samples, which is the level of
 the direct sum's own rounding there; exact-mie energies move by ~1e-15.
 `ExactAmplitudes` stays the one implementation of the sum, and the oracle
-of the tests.
+of the tests.  Each element of the sum stops on its own, so its value
+depends on its own cos(Theta) and not on the rest of its call.
 
 Adopted Mie coefficients
 ------------------------
@@ -77,7 +78,7 @@ def _mie_ab_log_arrays(x: float, ell_max: int):
     return sign_a, log_a, sign_b, log_b
 
 
-# the (ell-block x elements) buffers of the partial-wave sum: at most
+# the (ell-block x elements) arrays of the partial-wave sum: at most
 # BLOCK_ROWS orders and, unless one order alone is larger, BLOCK_ELEMENTS entries
 BLOCK_ROWS = 32
 BLOCK_ELEMENTS = 1 << 12
@@ -85,6 +86,14 @@ BLOCK_ELEMENTS = 1 << 12
 # sin(Theta/2) in [PANEL_RATIO^k, PANEL_RATIO^(k+1)] with PANEL_NODES points
 PANEL_RATIO = 2.0 ** 0.25
 PANEL_NODES = 8
+
+
+def _cos_theta(z) -> np.ndarray:
+    """z as a float array on the branch z <= -1, roundoff above -1 clipped."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if not (np.all(np.isfinite(z)) and np.all(z <= -1.0 + 1e-9)):
+        raise ValueError("amplitudes require finite cos(Theta) <= -1")
+    return np.minimum(z, -1.0)
 
 
 class ExactAmplitudes:
@@ -105,24 +114,23 @@ class ExactAmplitudes:
 
     Convergence is decided per element: an element is done once ell > x
     and its term has been below `TOL` times its running sum for three
-    consecutive ell.  Past the coefficient peak the terms decay faster than
-    geometrically, so this bounds the tail near that level; at x = 300 and
-    |z| ~ 1e4, summing on moves a converged element by up to 1.2e-12.  A
-    sum that is still 0 has not converged.  The ell an element needs grows
-    with |z|, so the elements are summed in order of ascending |z| and
-    those still being summed are a suffix: after every ell the suffix
-    starts past the leading run of converged elements, and the sum ends
-    when it is empty.  An element behind an unconverged one is summed on
-    and must still be converged when the suffix start reaches it.
+    consecutive ell (Wiscombe, Appl. Opt. 19, 1505 (1980)).  Past the
+    coefficient peak the terms decay faster than geometrically, so this
+    bounds the tail near that level; at x = 300 and |z| ~ 1e4, summing on
+    moves a converged element by up to 1.2e-12.  A sum that is still 0 has
+    not converged.  Each element stops at its own third calm ell and
+    leaves the batch, so its sum depends only on its own z and the shared
+    coefficient arrays, not on the other elements or their order.
 
     Blocks: only the angular recurrence is stepped one ell at a time, into
-    the rows of an (ell-block x suffix) buffer of about `BLOCK_ELEMENTS`
-    entries.  The terms, the running sums (a cumulative sum down the rows,
-    which adds in ell order) and the stopping rule are then evaluated once
-    per block, and the suffix start is followed row by row, so every
-    element stops at the same ell, with the same sum, as in a loop that
-    takes one ell at a time.  The elements carried past their stop until
-    the block ends cost some recurrence steps, not accuracy.
+    the rows of (ell-block x elements) arrays of about `BLOCK_ELEMENTS`
+    entries over the elements still summed.  The terms, the running sums
+    (a cumulative sum down the rows, which adds in ell order) and the
+    stopping rule are then evaluated once per block; an element that stops
+    in the block takes the running sum of its stopping row, as in a loop
+    that takes one ell at a time, and is dropped before the next block.
+    The rows past an element's stop cost some recurrence steps, not
+    accuracy.
     """
 
     GROWTH = 2.0
@@ -192,54 +200,34 @@ class ExactAmplitudes:
             S_perp = mant_perp * exp(log_scale), same log for S_par;
             log_scale = 2x sin(Theta/2) = 2x sqrt((1 - z)/2).
         """
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if np.any(z > -1.0 + 1e-9):
-            raise ValueError("amplitudes require cos(Theta) <= -1")
+        z = _cos_theta(z)
         if z.size == 0:
             return tuple(np.empty_like(z) for _ in range(3))
-        # |z| ascending (z descending); the caller's order is restored below
-        order = np.argsort(-z, kind="stable")
-        z = z[order]
-        np.minimum(z, -1.0, out=z)  # clip roundoff from the kinematic bound
         log_scale = 2.0 * self.x * np.sqrt(0.5 * (1.0 - z))
-        sums = self._sum(z, log_scale)
-        out = tuple(np.empty_like(z) for _ in range(3))
-        for dest, values in zip(out, (*sums, log_scale)):
-            dest[order] = values
-        return out
+        return (*self._sum(z, log_scale), log_scale)
 
     def _sum(self, z, log_scale):
-        """The sums (perp, par) at z sorted by ascending |z|."""
-        cap = self._cap_for(float(z[-1]))
+        """The sums (perp, par) at z."""
+        cap = self._cap_for(float(z.min()))
         # Wiscombe-style start at the impact parameter w = x sin(Theta/2)
         # of the largest |z|, near which its terms peak; the sum of that
         # element ends by about w + 20 w^(1/3)
-        w_max = 0.5 * float(log_scale[-1])
+        w_max = 0.5 * float(log_scale.max())
         self._extend(min(cap, int(w_max + 20.0 * w_max ** (1.0 / 3.0) + 32)))
-        n = z.size
         rec = AngularRecurrence(z)
-        sums = np.empty((2, n))      # final sums, filled as elements stop
-        running = np.zeros((2, n))   # running sums after the last block
-        size = max(BLOCK_ELEMENTS, n)
-        # the rows of pi and pi_prev alternate between two pairs of buffers,
-        # since each block's recurrence steps on from the last rows of the
-        # block before
-        angular = [[np.empty(size) for _ in range(2)] for _ in range(2)]
-        scratch = [np.empty(size) for _ in range(5)]
-        # settled[ell] of the suffix: two rows carried from the last block
-        # ahead of this block's rows
-        flags = np.zeros(size + 2 * n, dtype=bool)
-        start = 0   # elements before start have stopped and are dropped
+        sums = np.empty((2, z.size))       # final sums, filled as elements stop
+        active = np.arange(z.size)         # the elements still summed
+        running = np.zeros((2, z.size))    # their running sums after the last block
+        # their calm flags (see below) of the last two orders
+        settled = np.zeros((2, z.size), dtype=bool)
         ell = 1     # first order of the next block
         while True:
-            m = n - start
+            m = active.size
             rows = max(1, min(BLOCK_ROWS, BLOCK_ELEMENTS // m, cap - ell + 1))
             last = ell + rows - 1
             if last > self._n_coeff:
                 self._extend(min(cap, max(int(self._n_coeff * self.GROWTH), last + 64)))
-            angular.reverse()
-            pi, pi_prev = (b[: rows * m].reshape(rows, m) for b in angular[0])
-            tau, w, work, t_perp, t_par = (b[: rows * m].reshape(rows, m) for b in scratch)
+            pi, pi_prev, tau, w, t_perp, t_par = (np.empty((rows, m)) for _ in range(6))
             for r in range(rows):
                 if ell + r > rec.ell:
                     rec.advance(pi[r], pi_prev[r])
@@ -247,68 +235,46 @@ class ExactAmplitudes:
                     pi[r] = rec.pi
                     pi_prev[r] = rec.pi_prev
             angular_tau(np.arange(ell, last + 1.0)[:, None], rec.z, pi, pi_prev, out=tau)
-            self._terms(ell, rec, log_scale[start:], pi, tau, t_perp, t_par, w)
+            self._terms(ell, rec, log_scale, pi, tau, t_perp, t_par, w)
             term = np.abs(t_perp, out=w)
-            term += np.abs(t_par, out=work)
-            t_perp[0] += running[0, start:]
-            t_par[0] += running[1, start:]
+            term += np.abs(t_par)
+            t_perp[0] += running[0]
+            t_par[0] += running[1]
             np.cumsum(t_perp, axis=0, out=t_perp)
             np.cumsum(t_par, axis=0, out=t_par)
             total = np.abs(t_perp, out=tau)
-            total += np.abs(t_par, out=work)
-            # orders <= x are never calm; strict: a sum that is still 0 is
-            # never calm either
-            settled = flags[: (rows + 2) * m].reshape(rows + 2, m)
-            np.less(term, np.multiply(self.TOL, total, out=work), out=settled[2:])
+            total += np.abs(t_par)
+            # calm: term < TOL * sum at an order > x (strict, so a sum that
+            # is still 0 is never calm); the two rows carried from the last
+            # block lead this block's rows
+            settled = np.concatenate((settled, term < self.TOL * total))
             settled[2: 2 + max(0, math.floor(self.x) - ell + 1)] = False
             calm = settled[2:] & settled[1:-1] & settled[:-2]
-            starts = _suffix_starts(calm)
-            stopped = np.arange(starts[-1])
-            at = np.searchsorted(starts, stopped, side="right")
-            sums[0, start: start + starts[-1]] = t_perp[at, stopped]
-            sums[1, start: start + starts[-1]] = t_par[at, stopped]
-            if starts[-1] == m:
+            stop = calm.any(axis=0)
+            at = calm.argmax(axis=0)[stop]
+            sums[0, active[stop]] = t_perp[at, stop]
+            sums[1, active[stop]] = t_par[at, stop]
+            if stop.all():
                 return sums
             if last >= cap:
                 worst = math.inf
                 if last > self.x:
-                    before = starts[-2] if rows > 1 else 0
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        ratio = np.where(total[-1, before:] > 0.0,
-                                         term[-1, before:] / total[-1, before:], math.inf)
-                    worst = float(np.max(ratio[~calm[-1, before:]]))
+                        ratio = np.where(total[-1] > 0.0, term[-1] / total[-1], math.inf)
+                    worst = float(np.max(ratio[~stop]))
                 raise TruncationError(
                     f"partial-wave sum not converged by ell={last} (x={self.x})",
                     last,
                     worst,
                 )
-            done = starts[-1]
-            running[0, start + done:] = t_perp[-1, done:]
-            running[1, start + done:] = t_par[-1, done:]
-            flags[: 2 * (m - done)].reshape(2, m - done)[:] = settled[-2:, done:]
-            rec.drop_front(done)
-            start += done
+            running = np.array((t_perp[-1], t_par[-1]))
+            settled = settled[-2:]
+            if stop.any():
+                keep = ~stop
+                active, log_scale = active[keep], log_scale[keep]
+                running, settled = running[:, keep], settled[:, keep]
+                rec.keep(keep)
             ell = last + 1
-
-
-def _suffix_starts(calm: np.ndarray) -> list[int]:
-    """The start of the suffix still summed after each row of a block.
-
-    calm[r, i] says that element i has had three consecutive calm orders
-    at row r.  The start, 0 before the block, moves after each row to the
-    first element at or past it that has not; it is calm.shape[1] once
-    every element has stopped.
-    """
-    m = calm.shape[1]
-    live = np.where(calm, m, np.arange(m))
-    # first_live[r, i]: the first element at or past i not calm at row r
-    first_live = np.minimum.accumulate(live[:, ::-1], axis=1)[:, ::-1]
-    starts = []
-    start = 0
-    for r in range(calm.shape[0]):
-        start = int(first_live[r, start]) if start < m else m
-        starts.append(start)
-    return starts
 
 
 def interpolated_amplitudes(xi: float, R: float, z: np.ndarray):
@@ -321,14 +287,13 @@ def interpolated_amplitudes(xi: float, R: float, z: np.ndarray):
     runs once over PANEL_NODES Chebyshev points in log s of every panel up
     to the one holding the largest s of the call; each z is then evaluated
     by Clenshaw's recurrence on its own panel.  The panels do not depend on
-    the call, and the sum at a panel's nodes depends only on the nodes of
-    that panel and those below it, which every call that reaches the panel
-    sums too, so an amplitude does not depend on the other values in its
-    call.  The log scale is exact, and the mantissas agree with the direct
-    sum to 1e-11 relative over the ranges the solver samples
-    (tests/test_mie.py).
+    the call, and a node's sum depends on its own z; only the coefficient
+    sizing of the call's largest |z| rounds, so an amplitude does not
+    depend on the other values in its call beyond that rounding.  The log
+    scale is exact, and the mantissas agree with the direct sum to 1e-11
+    relative over the ranges the solver samples (tests/test_mie.py).
     """
-    z = np.minimum(np.atleast_1d(np.asarray(z, dtype=float)), -1.0)
+    z = _cos_theta(z)
     x = xi * R
     half = np.sqrt(0.5 * (1.0 - z))
     log_scale = 2.0 * x * half

@@ -191,10 +191,10 @@ class AngularRecurrence:
     partial-wave sums, where z is an array over quadrature nodes.
     `advance` writes the new pi and pi_prev into arrays the caller gives
     (the partial-wave sum passes the rows of its (ell-block x elements)
-    buffers) or else into the two arrays it holds, and allocates nothing.
-    The elements are independent of one another: `drop_front` stops
-    carrying the first n of them (the sum drops elements as they converge)
-    while the rest continue unchanged, and `z` is always the array of the
+    arrays) or else into the two arrays it holds, and allocates nothing.
+    The elements are independent of one another: `keep` stops carrying
+    those outside a mask (the sum drops elements as they converge) while
+    the rest continue unchanged, and `z` is always the array of the
     elements still carried.
     """
 
@@ -222,14 +222,14 @@ class AngularRecurrence:
         """tau_ell / q^(ell-1), from the held pi and pi_prev."""
         return angular_tau(self.ell, self.z, self.pi, self.pi_prev)
 
-    def drop_front(self, n: int) -> None:
-        """Stop carrying the first n elements; the held arrays become views."""
-        self.z = self.z[n:]
-        self.inv_q = self.inv_q[n:]
-        self.log_q = self.log_q[n:]
-        self.pi_prev = self.pi_prev[n:]
-        self.pi = self.pi[n:]
-        self._lower = self._lower[n:]
+    def keep(self, mask: np.ndarray) -> None:
+        """Carry on only the elements where mask is True, in their order."""
+        self.z = self.z[mask]
+        self.inv_q = self.inv_q[mask]
+        self.log_q = self.log_q[mask]
+        self.pi_prev = self.pi_prev[mask]
+        self.pi = self.pi[mask]
+        self._lower = self._lower[mask]
 
     def advance(self, pi=None, pi_prev=None) -> None:
         """Step to the next order, writing its pi and pi_prev into the arrays given.

@@ -107,21 +107,22 @@ def test_amplitudes_independent_of_order_and_batch(x):
     amps = ExactAmplitudes(x, 1.0)
     for i, zi in enumerate(z):
         one_perp, one_par, one_scale = amps(np.array([zi]))
+        # each element stops on its own: its sum does not depend on the batch
         assert one_scale[0] == log_scale[i]
-        assert mant_perp[i] == pytest.approx(one_perp[0], rel=1e-13, abs=0.0)
-        assert mant_par[i] == pytest.approx(one_par[0], rel=1e-13, abs=0.0)
+        assert mant_perp[i] == one_perp[0]
+        assert mant_par[i] == one_par[0]
 
 
 def test_each_element_stops_after_its_own_three_calm_terms(monkeypatch):
     """Synthetic terms: L is loud, C is below TOL times the sum; x < 1.
 
     z = -1 is calm at ell = 2, 3, 4 and leaves then; z = -2 is calm only at
-    ell = 6, 7, 8; z = -3 is calm from ell = 2 on but sits behind z = -2
-    in the |z| order, so it is summed until that one leaves at ell = 8.
+    ell = 6, 7, 8; z = -3 is calm from ell = 2 on and leaves at ell = 4,
+    without waiting for z = -2, whatever its place in the batch.
     """
     loud, calm = 2.0 ** -10, 2.0 ** -60
     patterns = {-1.0: "LCCC", -2.0: "LCLCLCCC", -3.0: "LCCCCCCC"}
-    stops = {-1.0: 4, -2.0: 8, -3.0: 8}
+    stops = {-1.0: 4, -2.0: 8, -3.0: 4}
 
     def term(z, ell):
         pattern = patterns[z]
@@ -134,10 +135,13 @@ def test_each_element_stops_after_its_own_three_calm_terms(monkeypatch):
 
     monkeypatch.setattr(ExactAmplitudes, "_terms", fake_terms)
     z = np.array([-2.0, -3.0, -1.0])
-    mant_perp, mant_par, _ = ExactAmplitudes(1e-3, 1.0)(z)
+    amps = ExactAmplitudes(1e-3, 1.0)
+    mant_perp, mant_par, _ = amps(z)
     want = [sum(term(zi, ell) for ell in range(1, stops[zi] + 1)) for zi in z]
     np.testing.assert_array_equal(mant_perp, want)
     np.testing.assert_array_equal(mant_par, want)
+    alone = [amps(np.array([zi]))[0][0] for zi in z]
+    np.testing.assert_array_equal(mant_perp, alone)
 
 
 def test_partial_wave_sum_does_not_depend_on_the_block_size(monkeypatch):
@@ -268,6 +272,19 @@ def test_exact_amplitudes_domain_and_clip():
     out = amps(np.array([-1.0 + 1e-12]))
     ref = amps(np.array([-1.0]))
     assert out[0][0] == pytest.approx(ref[0][0], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, -math.inf])
+def test_both_amplitude_entry_points_reject_the_same_cos_theta(bad):
+    # cos(Theta) must be finite and <= -1 (up to roundoff) in the direct
+    # sum and in its interpolants alike
+    z = np.array([-2.0, bad])
+    with pytest.raises(ValueError, match="cos\\(Theta\\)"):
+        ExactAmplitudes(1.0, 1.0)(z)
+    with pytest.raises(ValueError, match="cos\\(Theta\\)"):
+        interpolated_amplitudes(1.0, 1.0, z)
+    with pytest.raises(ValueError, match="cos\\(Theta\\)"):
+        interpolated_amplitudes(1.0, 1.0, [bad])
 
 
 def test_exact_amplitudes_on_empty_array():

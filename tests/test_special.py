@@ -181,6 +181,26 @@ def test_angular_recurrence_matches_scalar_path():
     np.testing.assert_allclose(tau_edge, -sign * half, rtol=1e-13)
 
 
+def test_angular_recurrence_keep_continues_the_kept_elements():
+    # dropping elements mid-way leaves the others exactly where a recurrence
+    # over them alone would be
+    rng = np.random.default_rng(3)
+    z = -1.0 - 10.0 ** rng.uniform(-12.0, 4.0, 40)
+    mask = np.arange(z.size) % 2 == 0
+    rec = AngularRecurrence(z)
+    alone = AngularRecurrence(z[mask])
+    for _ in range(20):
+        rec.advance()
+        alone.advance()
+    rec.keep(mask)
+    for _ in range(50):
+        rec.advance()
+        alone.advance()
+    np.testing.assert_array_equal(rec.z, z[mask])
+    for name in ("pi", "pi_prev", "tau", "log_offset"):
+        np.testing.assert_array_equal(getattr(rec, name), getattr(alone, name))
+
+
 def test_angular_recurrence_rejects_bad_branch():
     with pytest.raises(ValueError):
         AngularRecurrence(np.array([-0.5]))
