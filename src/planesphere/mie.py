@@ -12,11 +12,24 @@ The exact-mie kernel reads its amplitudes off `interpolated_amplitudes`:
 the direct sum runs only at the Chebyshev nodes of fixed panels in
 sin(Theta/2) (PANEL_NODES per panel), and every other cos(Theta) is
 interpolated on its panel.  The interpolants agree with the direct sum to
-1e-11 relative over the ranges the solver samples, which is the level of
-the direct sum's own rounding there; exact-mie energies move by ~1e-15.
-`ExactAmplitudes` stays the one implementation of the sum, and the oracle
-of the tests.  Each element of the sum stops on its own, so its value
-depends on its own cos(Theta) and not on the rest of its call.
+1e-11 relative for x sin(Theta/2) up to ~2.5e3, the range the tests
+check, which is the level of the direct sum's own rounding there; that
+rounding grows with x sin(Theta/2), to ~2.5e-10 at 7.8e4, which R/L = 800
+reaches.  exact-mie energies move by ~1e-15.  `ExactAmplitudes` stays the
+one implementation of the sum, and the oracle of the tests.  Each element
+of the sum stops on its own, so its value depends on its own cos(Theta)
+and not on the rest of its call.
+
+One ell loop per energy.  The panel nodes do not depend on xi or R, and
+neither do pi_ell, tau_ell of a node, so `panel_tables` sums the nodes of
+every xi node of an energy in one loop over ell: one angular recurrence
+over the union of the nodes, and per xi its own coefficients, terms,
+running sums and stops.  The solver builds these tables before its xi
+loop (each pool worker builds its own) and puts them in use with
+`interpolation_tables`; every sampling chunk of a xi node then reads its
+amplitudes off the node's one table.
+A call that no table covers (the trace oracles, direct callers) sums its
+own nodes.
 
 Adopted Mie coefficients
 ------------------------
@@ -41,6 +54,7 @@ with the 1/R diffraction correction S_p -> S_p (1 + s_p/R) of
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -80,8 +94,12 @@ def _mie_ab_log_arrays(x: float, ell_max: int):
 
 # the (ell-block x elements) arrays of the partial-wave sum: at most
 # BLOCK_ROWS orders and, unless one order alone is larger, BLOCK_ELEMENTS entries
-BLOCK_ROWS = 32
+BLOCK_ROWS = 128
 BLOCK_ELEMENTS = 1 << 12
+# an element joins the sum at the first order whose weight exponent reaches
+# this; exp underflows to exactly 0 below -745.2, so the orders skipped add
+# exact zeros (the margin covers the rounding of the exponent)
+LOG_UNDERFLOW = -800.0
 # Chebyshev panels of `interpolated_amplitudes`: panel k spans
 # sin(Theta/2) in [PANEL_RATIO^k, PANEL_RATIO^(k+1)] with PANEL_NODES points
 PANEL_RATIO = 2.0 ** 0.25
@@ -99,11 +117,13 @@ def _cos_theta(z) -> np.ndarray:
 class ExactAmplitudes:
     """Adaptive partial-wave summation of S_perp, S_par at fixed (xi, R).
 
-    The Mie coefficient arrays depend on xi only and are grown lazily, so
-    one call over many cos(Theta) values computes them once.  Calls are
-    vectorized over an array of cos(Theta) values.  This direct sum is the
-    one implementation of the amplitudes: `interpolated_amplitudes` runs it
-    at its Chebyshev nodes, and the tests use it as the oracle.
+    The Mie coefficient arrays depend on xi only.  Each call sizes them
+    once, before its ell loop, for its largest |z| (`_size`), so one call
+    over many cos(Theta) values computes them once; a later call that needs
+    more recomputes them.  Calls are vectorized over an array of cos(Theta)
+    values.  This direct sum is the one implementation of the amplitudes:
+    `panel_tables` and `interpolated_amplitudes` run it at their Chebyshev
+    nodes, and the tests use it as the oracle.
 
     Scale: each element is summed on one scale fixed before the ell loop,
     the WKB exponent 2x sin(Theta/2), so the returned mantissas are the
@@ -126,14 +146,18 @@ class ExactAmplitudes:
     the rows of (ell-block x elements) arrays of about `BLOCK_ELEMENTS`
     entries over the elements still summed.  The terms, the running sums
     (a cumulative sum down the rows, which adds in ell order) and the
-    stopping rule are then evaluated once per block; an element that stops
-    in the block takes the running sum of its stopping row, as in a loop
-    that takes one ell at a time, and is dropped before the next block.
-    The rows past an element's stop cost some recurrence steps, not
-    accuracy.
+    stopping rule are then evaluated once per block (`_Batch.step`); an
+    element that stops in the block takes the running sum of its stopping
+    row, as in a loop that takes one ell at a time, and is dropped before
+    the next block.  The rows past an element's stop cost some recurrence
+    steps, not accuracy.  An element joins the sum only in the block of its
+    first order (`_first_orders`): before it, its weights underflow to 0
+    and its terms are exact zeros.  pi_ell and tau_ell depend on z alone,
+    so several batches, each with its own coefficients, can share one
+    recurrence over the union of their z (`_sum_batches`); a call is the
+    case of one batch.
     """
 
-    GROWTH = 2.0
     TOL = 1e-13
 
     def __init__(self, xi: float, R: float):
@@ -142,7 +166,7 @@ class ExactAmplitudes:
         self.xi = xi
         self.R = R
         self.x = xi * R
-        # grown by each call to what its largest |z| needs (see _sum)
+        # sized by each call to what its largest |z| needs (see _size)
         self._n_coeff = 0
         self._log_a = np.empty(0)
         self._ka = np.empty(0)
@@ -159,26 +183,76 @@ class ExactAmplitudes:
         self._ka = c_ell * sign_a
         # math.exp, the libm exponential, for every ell: numpy's vectorized
         # exp may round differently in the last bit
-        self._kb = np.array([c * s * math.exp(d) for c, s, d in
-                             zip(c_ell.tolist(), sign_b.tolist(), (log_b - log_a).tolist())])
+        self._kb = c_ell * sign_b * np.array(list(map(math.exp, (log_b - log_a).tolist())))
         self._n_coeff = n
 
     def _cap_for(self, z_extreme: float) -> int:
         # dominant ell grows like x * sqrt((|z|+1)/2) (impact parameter)
         return int(3.0 * self.x * math.sqrt((abs(z_extreme) + 1.0) / 2.0)) + 4000
 
+    def _size(self, z, log_scale) -> int:
+        """Coefficients for the elements z, before the ell loop; returns the last order summed.
+
+        An element's terms peak near its impact parameter w = x
+        sin(Theta/2) and its sum ends past it: within ~20 w^(1/3) near
+        sin(Theta/2) = 1, where they fall off over the Airy width, and
+        within sqrt(w ln(1/TOL)) at large sin(Theta/2), where they fall
+        like e^{-(ell - w)^2/w}.  The coefficients are sized for the largest
+        w of the elements, and the sum stops there or at the cap, whichever
+        comes first; an element not converged by then raises
+        TruncationError.
+        """
+        cap = self._cap_for(float(z.min()))
+        w_max = 0.5 * float(log_scale.max())
+        width = max(20.0 * w_max ** (1.0 / 3.0), math.sqrt(w_max * math.log(1.0 / self.TOL)))
+        self._extend(min(cap, int(w_max + width + 32)))
+        return min(cap, self._n_coeff)
+
+    def _first_orders(self, log_q, log_scale) -> np.ndarray:
+        """Per element, the first order whose term can be nonzero (see LOG_UNDERFLOW).
+
+        The weight exponent (ell - 1) log q - log_scale + log|a_ell| of
+        `_terms` is concave in ell (the increments of log|a_ell| fall), so
+        it stays below LOG_UNDERFLOW before the first order that reaches it,
+        and there the weight underflows to exactly 0: the element's terms
+        and running sums are zeros, which the sum may skip without changing
+        a bit.  The order is found by bisection below the impact parameter
+        w = log_scale/2; an element whose exponent does not reach
+        LOG_UNDERFLOW by then starts at ell = 1.
+        """
+        def exponent(ell, log_q, log_scale):
+            return (ell - 1.0) * log_q - log_scale + self._log_a[ell - 1]
+
+        first = np.ones(log_q.size, dtype=np.intp)
+        hi = np.clip(np.rint(0.5 * log_scale), 1, self._n_coeff).astype(np.intp)
+        late = ((exponent(first, log_q, log_scale) < LOG_UNDERFLOW)
+                & (exponent(hi, log_q, log_scale) >= LOG_UNDERFLOW))
+        lo, hi, log_q, log_scale = first[late], hi[late], log_q[late], log_scale[late]
+        while np.any(hi - lo > 1):   # exponent(lo) < LOG_UNDERFLOW <= exponent(hi)
+            mid = (lo + hi) // 2
+            up = exponent(mid, log_q, log_scale) >= LOG_UNDERFLOW
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        first[late] = hi
+        return first
+
+    def _log_scale(self, z):
+        """The scale of the mantissas, 2x sin(Theta/2) = 2x sqrt((1 - z)/2)."""
+        return 2.0 * self.x * np.sqrt(0.5 * (1.0 - z))
+
     def _terms(self, ell, rec, log_scale, pi, tau, t_perp, t_par, w) -> None:
         """Write the terms of orders ell, ell+1, ... into the rows of t_perp, t_par.
 
         Row r of pi and tau holds the angular functions of order ell + r on
-        the recurrence's scale, one column per element of `rec`; w is work
-        space.  term = w (ka pi + kb tau) and w (ka tau + kb pi), with
+        the recurrence's scale, one column per element of `rec` (a `_Batch`,
+        whose z and log_q are those of the columns); w is work space.
+        term = w (ka pi + kb tau) and w (ka tau + kb pi), with
         w = |a_ell| q^(ell-1) / e^(log_scale), ka = c_ell sign(a_ell) and
         kb = c_ell b_ell/|a_ell|, c_ell = (2 ell + 1)/(ell (ell + 1)).
         """
         rows = pi.shape[0]
         index = slice(ell - 1, ell - 1 + rows)   # orders ell .. ell + rows - 1
-        # (ell - 1) log q is rec.log_offset at each order
+        # (ell - 1) log q is the recurrence's log_offset at each order
         np.multiply(np.arange(ell - 1.0, ell - 1.0 + rows)[:, None], rec.log_q, out=w)
         w -= log_scale
         w += self._log_a[index, None]
@@ -203,78 +277,249 @@ class ExactAmplitudes:
         z = _cos_theta(z)
         if z.size == 0:
             return tuple(np.empty_like(z) for _ in range(3))
-        log_scale = 2.0 * self.x * np.sqrt(0.5 * (1.0 - z))
-        return (*self._sum(z, log_scale), log_scale)
+        log_scale = self._log_scale(z)
+        batch = _Batch(self, z, log_scale)
+        _sum_batches([batch], z)
+        return batch.sums[0], batch.sums[1], log_scale
 
-    def _sum(self, z, log_scale):
-        """The sums (perp, par) at z."""
-        cap = self._cap_for(float(z.min()))
-        # Wiscombe-style start at the impact parameter w = x sin(Theta/2)
-        # of the largest |z|, near which its terms peak; the sum of that
-        # element ends by about w + 20 w^(1/3)
-        w_max = 0.5 * float(log_scale.max())
-        self._extend(min(cap, int(w_max + 20.0 * w_max ** (1.0 / 3.0) + 32)))
-        rec = AngularRecurrence(z)
-        sums = np.empty((2, z.size))       # final sums, filled as elements stop
-        active = np.arange(z.size)         # the elements still summed
-        running = np.zeros((2, z.size))    # their running sums after the last block
-        # their calm flags (see below) of the last two orders
-        settled = np.zeros((2, z.size), dtype=bool)
-        ell = 1     # first order of the next block
-        while True:
-            m = active.size
-            rows = max(1, min(BLOCK_ROWS, BLOCK_ELEMENTS // m, cap - ell + 1))
-            last = ell + rows - 1
-            if last > self._n_coeff:
-                self._extend(min(cap, max(int(self._n_coeff * self.GROWTH), last + 64)))
-            pi, pi_prev, tau, w, t_perp, t_par = (np.empty((rows, m)) for _ in range(6))
-            for r in range(rows):
-                if ell + r > rec.ell:
-                    rec.advance(pi[r], pi_prev[r])
-                else:   # order 1, held before the first step
-                    pi[r] = rec.pi
-                    pi_prev[r] = rec.pi_prev
-            angular_tau(np.arange(ell, last + 1.0)[:, None], rec.z, pi, pi_prev, out=tau)
-            self._terms(ell, rec, log_scale, pi, tau, t_perp, t_par, w)
-            term = np.abs(t_perp, out=w)
-            term += np.abs(t_par)
-            t_perp[0] += running[0]
-            t_par[0] += running[1]
-            np.cumsum(t_perp, axis=0, out=t_perp)
-            np.cumsum(t_par, axis=0, out=t_par)
-            total = np.abs(t_perp, out=tau)
-            total += np.abs(t_par)
-            # calm: term < TOL * sum at an order > x (strict, so a sum that
-            # is still 0 is never calm); the two rows carried from the last
-            # block lead this block's rows
-            settled = np.concatenate((settled, term < self.TOL * total))
-            settled[2: 2 + max(0, math.floor(self.x) - ell + 1)] = False
-            calm = settled[2:] & settled[1:-1] & settled[:-2]
-            stop = calm.any(axis=0)
-            at = calm.argmax(axis=0)[stop]
-            sums[0, active[stop]] = t_perp[at, stop]
-            sums[1, active[stop]] = t_par[at, stop]
-            if stop.all():
-                return sums
-            if last >= cap:
-                worst = math.inf
-                if last > self.x:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        ratio = np.where(total[-1] > 0.0, term[-1] / total[-1], math.inf)
-                    worst = float(np.max(ratio[~stop]))
-                raise TruncationError(
-                    f"partial-wave sum not converged by ell={last} (x={self.x})",
-                    last,
-                    worst,
-                )
-            running = np.array((t_perp[-1], t_par[-1]))
-            settled = settled[-2:]
-            if stop.any():
-                keep = ~stop
-                active, log_scale = active[keep], log_scale[keep]
-                running, settled = running[:, keep], settled[:, keep]
-                rec.keep(keep)
-            ell = last + 1
+
+class _Batch:
+    """The elements of one sum of an `ExactAmplitudes`, between ell-blocks.
+
+    An element waits until the block that reaches its first order (see
+    `ExactAmplitudes._first_orders`) and is summed from then on until it
+    stops.  z, log_q (the recurrence's), log_scale, the running sums and
+    the calm flags are those of the summed elements, `active` their places
+    in `sums` (filled as they stop), and `cols` the column of each element
+    in the recurrence (stale once it has stopped).
+    """
+
+    def __init__(self, amps: ExactAmplitudes, z, log_scale):
+        self.amps = amps
+        self.limit = amps._size(z, log_scale)
+        self._z, self._log_scale = z, log_scale
+        self.cols = np.arange(z.size)
+        self.sums = np.empty((2, z.size))
+        self.active = np.empty(0, dtype=np.intp)
+        self.z = self.log_q = self.log_scale = np.empty(0)
+        self.running = np.zeros((2, 0))   # running sums after the last block
+        self.settled = np.zeros((2, 0), dtype=bool)   # calm flags (see step) of the last two orders
+
+    def queue(self, log_q) -> None:
+        """Queue every element by its first order; log_q is the recurrence's, by column."""
+        self._log_q = log_q[self.cols]
+        # none waits past the limit, where an unconverged sum must raise
+        self._first = np.minimum(self.amps._first_orders(self._log_q, self._log_scale), self.limit)
+        self.waiting = np.argsort(self._first, kind="stable")
+
+    def start(self, ell: int) -> None:
+        """Sum from now on the waiting elements whose first order is below ell."""
+        n = np.searchsorted(self._first[self.waiting], ell)
+        if n == 0:
+            return
+        new, self.waiting = self.waiting[:n], self.waiting[n:]
+        # the summed elements stay in the order of their columns
+        active = np.concatenate((self.active, new))
+        order = np.argsort(active, kind="stable")
+        self.active = active[order]
+        self.z = np.concatenate((self.z, self._z[new]))[order]
+        self.log_q = np.concatenate((self.log_q, self._log_q[new]))[order]
+        self.log_scale = np.concatenate((self.log_scale, self._log_scale[new]))[order]
+        self.running = np.concatenate((self.running, np.zeros((2, n))), axis=1)[:, order]
+        self.settled = np.concatenate((self.settled, np.zeros((2, n), dtype=bool)),
+                                      axis=1)[:, order]
+
+    def step(self, ell, pi, pi_prev) -> bool:
+        """Sum the orders ell, ell+1, ... in the rows of pi, pi_prev; True once all have stopped."""
+        amps = self.amps
+        rows, m = pi.shape
+        last = ell + rows - 1
+        tau, w, t_perp, t_par = (np.empty((rows, m)) for _ in range(4))
+        angular_tau(np.arange(ell, last + 1.0)[:, None], self.z, pi, pi_prev, out=tau)
+        amps._terms(ell, self, self.log_scale, pi, tau, t_perp, t_par, w)
+        term = np.abs(t_perp, out=w)
+        term += np.abs(t_par)
+        t_perp[0] += self.running[0]
+        t_par[0] += self.running[1]
+        np.cumsum(t_perp, axis=0, out=t_perp)
+        np.cumsum(t_par, axis=0, out=t_par)
+        total = np.abs(t_perp, out=tau)
+        total += np.abs(t_par)
+        # calm: term < TOL * sum at an order > x (strict, so a sum that is
+        # still 0 is never calm); the two rows carried from the last block
+        # lead this block's rows
+        settled = np.concatenate((self.settled, term < amps.TOL * total))
+        settled[2: 2 + max(0, math.floor(amps.x) - ell + 1)] = False
+        calm = settled[2:] & settled[1:-1] & settled[:-2]
+        stop = calm.any(axis=0)
+        at = calm.argmax(axis=0)[stop]
+        self.sums[0, self.active[stop]] = t_perp[at, stop]
+        self.sums[1, self.active[stop]] = t_par[at, stop]
+        if stop.all() and self.waiting.size == 0:
+            return True
+        if last >= self.limit:
+            worst = math.inf
+            if last > amps.x:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.where(total[-1] > 0.0, term[-1] / total[-1], math.inf)
+                worst = float(np.max(ratio[~stop]))
+            raise TruncationError(
+                f"partial-wave sum not converged by ell={last} (x={amps.x})",
+                last,
+                worst,
+            )
+        self.running = np.array((t_perp[-1], t_par[-1]))
+        self.settled = settled[-2:]
+        if stop.any():
+            keep = ~stop
+            self.z, self.log_q = self.z[keep], self.log_q[keep]
+            self.log_scale, self.active = self.log_scale[keep], self.active[keep]
+            self.running, self.settled = self.running[:, keep], self.settled[:, keep]
+        return False
+
+
+def _sum_batches(batches: list[_Batch], z: np.ndarray) -> None:
+    """Sum every batch, each over a leading part of z, with one angular recurrence over z.
+
+    The recurrence steps one ell at a time into the rows of (ell-block x
+    elements) arrays; each batch takes the rows of the columns it sums
+    and evaluates its block (`_Batch.step`).  A batch's block spans no
+    more than about BLOCK_ELEMENTS entries and the recurrence's no more
+    than 4 BLOCK_ELEMENTS, and an element of z leaves the recurrence once
+    every batch that sums it has stopped it.
+    """
+    rec = AngularRecurrence(z)
+    for batch in batches:
+        batch.queue(rec.log_q)
+    ell = 1     # first order of the next block
+    while batches:
+        m = rec.z.size
+        for batch in batches:
+            batch.start(ell + BLOCK_ROWS)
+        widest = max(max(batch.active.size for batch in batches), 1)
+        rows = max(1, min(BLOCK_ROWS, BLOCK_ELEMENTS // widest, 4 * BLOCK_ELEMENTS // m,
+                          min(batch.limit for batch in batches) - ell + 1))
+        pi, pi_prev = np.empty((rows, m)), np.empty((rows, m))
+        for r in range(rows):
+            if ell + r > rec.ell:
+                rec.advance(pi[r], pi_prev[r])
+            else:   # order 1, held before the first step
+                pi[r] = rec.pi
+                pi_prev[r] = rec.pi_prev
+        left, dropped = [], False
+        for batch in batches:
+            active = batch.active.size
+            if active == m:   # every column, in order
+                done = batch.step(ell, pi, pi_prev)
+            elif active:
+                cols = batch.cols[batch.active]
+                done = batch.step(ell, pi.take(cols, axis=1), pi_prev.take(cols, axis=1))
+            else:   # every element still waits
+                done = False
+            if not done:
+                left.append(batch)
+            dropped = dropped or done or batch.active.size < active
+        batches = left
+        if dropped and batches:
+            needed = np.zeros(m, dtype=bool)
+            for batch in batches:
+                needed[batch.cols[batch.active]] = True
+                needed[batch.cols[batch.waiting]] = True
+            if not needed.all():
+                rec.keep(needed)
+                # the columns of stopped elements are stale and never read
+                batch_cols = np.cumsum(needed) - 1
+                for batch in batches:
+                    batch.cols = batch_cols[batch.cols]
+        ell += rows
+
+
+# the tables of interpolated_amplitudes in use, by (xi, R) (see interpolation_tables)
+_TABLES: dict[tuple[float, float], np.ndarray] = {}
+
+
+def _panel_coordinate(z):
+    """(sin(Theta/2), v, panel) at cos(Theta) = z: v = log sin(Theta/2) / log PANEL_RATIO.
+
+    Panel k holds k <= v < k + 1.
+    """
+    half = np.sqrt(0.5 * (1.0 - z))
+    v = np.log(half)
+    v /= math.log(PANEL_RATIO)
+    return half, v, v.astype(np.intp)
+
+
+def _panel_nodes(panels: int) -> np.ndarray:
+    """cos(Theta) at the Chebyshev nodes of panels 0 .. panels-1, panel by panel.
+
+    Panel k has PANEL_NODES points t_j = cos(pi j/(n-1)) at v = k + (1 + t_j)/2,
+    so the nodes of fewer panels are a leading part of these.
+    """
+    n = PANEL_NODES
+    nodes = np.arange(panels)[:, None] + 0.5 + 0.5 * np.cos(np.pi / (n - 1) * np.arange(n))
+    s_nodes = PANEL_RATIO ** nodes.ravel()
+    return 1.0 - 2.0 * s_nodes * s_nodes
+
+
+def _chebyshev_table(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients table[j][channel, panel] from the node values (2, panels * n)."""
+    n = PANEL_NODES
+    values = values.reshape(2, -1, n)
+    # per panel from the FFT of the even extension (DCT-I)
+    coef = np.fft.rfft(np.concatenate((values, values[..., -2:0:-1]), axis=-1), axis=-1).real
+    coef /= n - 1
+    coef[..., [0, -1]] *= 0.5
+    return np.ascontiguousarray(coef.transpose(2, 0, 1))
+
+
+def panel_tables(R: float, samples: dict) -> dict:
+    """The tables of `interpolated_amplitudes` for several xi at one R, from one ell loop.
+
+    A table holds the mantissas (perp, par) of the direct sum at the panel
+    nodes (`_panel_nodes`).  samples maps each xi to the cos(Theta) values
+    its calls will reach (or to the most negative of them); its table spans
+    the panels up to the one holding the largest sin(Theta/2), and a xi
+    without samples gets none.
+    The panel nodes are the same for every xi, so `_sum_batches` sums all
+    of them over one angular recurrence, the nodes of each xi as a batch of
+    its own ExactAmplitudes(xi, R): a node's value is bit for bit that of a
+    call of interpolated_amplitudes reaching the same top panel.  Returns
+    {(xi, R): table} for `interpolation_tables`.
+    """
+    panels = {}
+    for xi, z in samples.items():
+        z = _cos_theta(z)
+        if z.size:
+            panels[xi] = int(_panel_coordinate(z)[2].max()) + 1
+    if not panels:
+        return {}
+    z = _panel_nodes(max(panels.values()))
+    batches = []
+    for xi, count in panels.items():
+        amps = ExactAmplitudes(xi, R)
+        z_xi = z[: count * PANEL_NODES]
+        batches.append(_Batch(amps, z_xi, amps._log_scale(z_xi)))
+    _sum_batches(list(batches), z)
+    return {(xi, R): batch.sums for xi, batch in zip(panels, batches)}
+
+
+def use_tables(tables: dict) -> None:
+    """Let interpolated_amplitudes read the tables of `panel_tables` from now on."""
+    _TABLES.update(tables)
+
+
+@contextmanager
+def interpolation_tables(tables: dict):
+    """`use_tables` inside the block; the tables are removed on leaving it, return or raise.
+
+    The tables in use are those of the process, keyed by (xi, R).
+    """
+    use_tables(tables)
+    try:
+        yield
+    finally:
+        for key in tables:
+            _TABLES.pop(key, None)
 
 
 def interpolated_amplitudes(xi: float, R: float, z: np.ndarray):
@@ -284,35 +529,28 @@ def interpolated_amplitudes(xi: float, R: float, z: np.ndarray):
     sqrt((1 - z)/2) >= 1 and tend to -/+ (x/2)(1 + s_p/R + ...) as x s
     grows (x = xi R).  The range of s is cut into fixed panels,
     [PANEL_RATIO^k, PANEL_RATIO^(k+1)] for k = 0, 1, ..., and the direct sum
-    runs once over PANEL_NODES Chebyshev points in log s of every panel up
-    to the one holding the largest s of the call; each z is then evaluated
-    by Clenshaw's recurrence on its own panel.  The panels do not depend on
-    the call, and a node's sum depends on its own z; only the coefficient
-    sizing of the call's largest |z| rounds, so an amplitude does not
-    depend on the other values in its call beyond that rounding.  The log
-    scale is exact, and the mantissas agree with the direct sum to 1e-11
-    relative over the ranges the solver samples (tests/test_mie.py).
+    runs over PANEL_NODES Chebyshev points in log s of every panel; each z
+    is evaluated by Clenshaw's recurrence on its own panel.  The node
+    values come from the (xi, R) table of `interpolation_tables` when one
+    is in use and reaches the panel of the largest s of the call;
+    otherwise the call sums the nodes of the panels up to that one itself.
+    The panels do not depend on the call, and a node's sum depends on its
+    own z; only the coefficient sizing, set by the top panel, rounds, so an
+    amplitude does not depend on the other values in its call beyond that
+    rounding.  The log scale is exact, and the mantissas agree with the
+    direct sum to 1e-11 relative for x sin(Theta/2) up to ~2.5e3, the range
+    tests/test_mie.py checks; at 7.8e4 they differ by up to 2.5e-10, the
+    direct sum's own rounding there.
     """
     z = _cos_theta(z)
     x = xi * R
-    half = np.sqrt(0.5 * (1.0 - z))
+    half, v, panel = _panel_coordinate(z)
     log_scale = 2.0 * x * half
-    # panel coordinate: panel k holds k <= v < k + 1
-    v = np.log(half)
-    v /= math.log(PANEL_RATIO)
-    panel = v.astype(np.intp)
     panels = int(panel.max(initial=-1)) + 1
-    # Chebyshev points t_j = cos(pi j/(n-1)) of every panel, at v = k + (1 + t_j)/2
-    n = PANEL_NODES
-    nodes = np.arange(panels)[:, None] + 0.5 + 0.5 * np.cos(np.pi / (n - 1) * np.arange(n))
-    s_nodes = PANEL_RATIO ** nodes.ravel()
-    values = np.array(ExactAmplitudes(xi, R)(1.0 - 2.0 * s_nodes * s_nodes)[:2])
-    values = values.reshape(2, panels, n)
-    # Chebyshev coefficients per panel from the FFT of the even extension (DCT-I)
-    coef = np.fft.rfft(np.concatenate((values, values[..., -2:0:-1]), axis=-1), axis=-1).real
-    coef /= n - 1
-    coef[..., [0, -1]] *= 0.5
-    coef = np.ascontiguousarray(coef.transpose(2, 0, 1))   # coef[j][channel, panel]
+    values = _TABLES.get((xi, R))
+    if values is None or values.shape[1] < panels * PANEL_NODES:
+        values = np.array(ExactAmplitudes(xi, R)(_panel_nodes(panels))[:2])
+    coef = _chebyshev_table(values)
     # Clenshaw: b_j = c_j + 2t b_{j+1} - b_{j+2}, both channels at once, with
     # c_j gathered for the panel of each z
     t = v - panel

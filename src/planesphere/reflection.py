@@ -40,9 +40,14 @@ rotation, with no plane reflection; the saddle weight oracles.g_function
 calls it directly.  All of them are vectorized over broadcastable (xi,
 k_in, k_out, dphi) arrays and return mantissas with one log scale.
 The exact-mie amplitudes of a call come from mie.interpolated_amplitudes:
-direct partial-wave sums at the Chebyshev nodes of fixed panels, and
-Chebyshev interpolation for every sample (1e-11 relative to the direct
-sum), so an element does not depend on the other samples of its call.
+Chebyshev interpolation for every sample on fixed panels of sin(Theta/2)
+(1e-11 relative to the direct sum up to x sin(Theta/2) ~ 2.5e3), so an
+element does not depend on the other samples of its call.  During an
+energy solve the panel tables of each xi node come from the solver's one
+partial-wave ell loop (mie.panel_tables); any other call sums the
+partial waves at its panels' nodes itself.  `cos_theta` gives the
+cos(Theta) that the exact-mie amplitudes of an element are taken at,
+from which the solver sizes those tables.
 """
 from __future__ import annotations
 
@@ -91,6 +96,17 @@ def _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi):
     return xi2 * (k_in - k_out) ** 2 / (
         kap_in * kap_out + k_in * k_out + xi2
     ) + 2.0 * k_in * k_out * np.cos(0.5 * dphi) ** 2
+
+
+def _cos_theta(xi, p_diff):
+    """cos(Theta) = -1 - (P - xi^2)/xi^2 on the imaginary-frequency branch."""
+    return -1.0 - p_diff / (xi * xi)
+
+
+def cos_theta(xi, k_in, k_out, dphi):
+    """cos(Theta) of the scattering k_in -> k_out, as sphere_element takes it for exact-mie."""
+    kap_in, kap_out = np.hypot(xi, k_in), np.hypot(xi, k_out)
+    return _cos_theta(xi, _p_diff(xi, k_in, k_out, kap_in, kap_out, dphi))
 
 
 def chi_components(xi, k_in, k_out, kappa_in, kappa_out, dphi, p_diff=None):
@@ -144,13 +160,13 @@ def _amplitudes(xi, p_diff, rho, kind) -> Amplitudes:
     f_p = 1 for wkb0 (perp and par are then the scalars -1 and 1) and
     f_p = e^{s_p/R} for wkb1 (s_p of mie.wkb_diffraction_s).
     """
-    xi2 = xi * xi
     if kind is KernelKind.EXACT_MIE:
-        z = -1.0 - p_diff / xi2
+        z = _cos_theta(xi, p_diff)
         perp, par, log_amp = interpolated_amplitudes(xi, rho, np.ravel(z))
         shape = np.shape(z)
         return Amplitudes(perp.reshape(shape), par.reshape(shape),
                           log_amp.reshape(shape), 2.0 * math.pi / xi)
+    xi2 = xi * xi
     p_dot = xi2 + p_diff
     h = np.sqrt(0.5 * (xi2 + p_dot))
     if kind is KernelKind.WKB1:

@@ -32,13 +32,12 @@ the samples above e^PRUNE_LOG_CUTOFF form a leading window [0, w) of
 columns, whose end is solved in closed form per pair; a pair with w = 0 is
 dropped, and the samples beyond the window are taken as 0.  The kept pairs
 are sorted by w and processed in chunks of about CHUNK_SAMPLES samples, each
-sampled on its widest window by one round_trip_element call, which for
-exact-mie makes that chunk's own partial-wave sum; the element, the scale
-and the transform see only those columns.  A chunk is sampled with one row
-per dphi and one column per pair, and one inverse real FFT along its rows
-serves each pair of channels, (MM, X_ij) and (EE, X_ji): the cosine and sine
-coefficients are the even and odd parts in m of its output, written m-major
-into one coefficient array per sector.
+sampled on its widest window by one round_trip_element call; the element,
+the scale and the transform see only those columns.  A chunk is sampled
+with one row per dphi and one column per pair, and one inverse real FFT
+along its rows serves each pair of channels, (MM, X_ij) and (EE, X_ji):
+the cosine and sine coefficients are the even and odd parts in m of its
+output, written m-major into one coefficient array per sector.
 
 Assembly.  The blocks of a xi node share one zero-filled 2n x 2n buffer.
 The flat positions of every kept pair's entries in its lower triangle are
@@ -53,6 +52,22 @@ and X_ji = X_ij, X is symmetric, and only (MM, X_ij) are transformed.  The
 block [[C, X], [X, C]] is orthogonally similar to diag(C + X, C - X), so
 ln det(1 - M_m) = ln det(1 - C - X) + ln det(1 - C + X): two n x n
 factorizations instead of one 2n x 2n, a quarter of the flops.
+
+exact-mie tables.  Before its xi loop, an exact-mie energy builds the
+Chebyshev tables of mie.interpolated_amplitudes for every xi node in one
+partial-wave ell loop (mie.panel_tables); a node's table reaches the
+largest sin(Theta/2) its kept pairs sample, which lies in their dphi = 0
+column.  Every chunk of the node then reads its amplitudes off that table
+instead of summing partial waves of its own, so the energy does not
+depend on CHUNK_SAMPLES.  The tables are in use only during the solve:
+a serial solve builds them before its xi loop and reads them through
+mie.interpolation_tables; with a pool, every worker builds them in its
+initializer and keeps them until the pool shuts down.  The build is
+deterministic, so every worker reads the same amplitudes as a serial
+solve, whatever the start method; it costs each worker one build, run
+in parallel, and leaves the parent process as lean as it was without it
+(built in the parent, the tables raised the peak RSS of a pooled R/L = 10
+solve by 15 %).
 
 Live radial nodes.  A node that lies in no kept pair has a zero row and
 column in every block, which adds 0 to a trace and ln 1 = 0 to a log det,
@@ -90,9 +105,10 @@ from typing import Iterator
 
 import numpy as np
 
+from . import mie
 from .asymptotics import e_pfa
 from .core import Geometry
-from .reflection import KernelKind, round_trip_element
+from .reflection import KernelKind, cos_theta, round_trip_element
 from .reflection import chi_components  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 
@@ -272,6 +288,27 @@ def _cos_sin_coefficients(packed: np.ndarray, m_grid: int, cos_out: np.ndarray,
     np.subtract(head, tail, out=sin_out[1:])
 
 
+def _kept_pairs(xi: float, rho: float, config: QuadratureConfig):
+    """The radial nodes k and the kept pairs at xi, widest sampling window first.
+
+    Returns (k, ii, jj, width, log_wab): pair p joins the nodes ii[p] <=
+    jj[p], is sampled on the leading columns [0, width[p]) where its
+    per-sample bound exceeds PRUNE_LOG_CUTOFF (read at call time) and has
+    the log symmetrized radial weight log_wab[p].  A pair with no such
+    column is dropped; its samples are below e^-46 ~ 1e-20 and are taken
+    as 0.
+    """
+    k, wk = half_line_nodes_weights(config.n_radial)
+    kap = np.hypot(xi, k)
+    log_w = 0.5 * np.log(k * wk / (2.0 * math.pi))
+    ii, jj = np.triu_indices(config.n_radial)
+    log_wab = log_w[ii] + log_w[jj]
+    width = _live_columns(xi, rho, k[ii], k[jj], kap[ii], kap[jj], log_wab, config.n_azimuthal)
+    order = np.argsort(-width, kind="stable")
+    order = order[: np.count_nonzero(width)]
+    return k, ii[order], jj[order], width[order], log_wab[order]
+
+
 def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
                      config: QuadratureConfig):
     """Per-m Fourier coefficients of the symmetrized kernels at one xi.
@@ -288,27 +325,12 @@ def _fourier_kernels(xi: float, geometry: Geometry, kind: KernelKind,
     heap that stays resident (wkb-sweep peak RSS +11 MiB).
     """
     rho = geometry.aspect_ratio
-    n = config.n_radial
     m_grid = config.n_azimuthal
     mh = m_grid // 2
-    k, wk = half_line_nodes_weights(n)
-    kap = np.hypot(xi, k)
-    log_w = 0.5 * np.log(k * wk / (2.0 * math.pi))
-
-    # windowed sampling: each pair is sampled only on the leading columns
-    # [0, w) where its per-sample bound exceeds PRUNE_LOG_CUTOFF (read at
-    # call time), and dropped when w = 0; the samples beyond are below
-    # e^-46 ~ 1e-20 and are taken as 0
-    ii, jj = np.triu_indices(n)
-    log_wab = log_w[ii] + log_w[jj]
-    width = _live_columns(xi, rho, k[ii], k[jj], kap[ii], kap[jj], log_wab, m_grid)
-    order = np.argsort(-width, kind="stable")
-    order = order[: np.count_nonzero(width)]
-    ii, jj, width, log_wab = ii[order], jj[order], width[order], log_wab[order]
+    k, ii, jj, width, log_wab = _kept_pairs(xi, rho, config)
 
     # orientation in=j -> out=i; each chunk of pairs is sampled on its
-    # widest window by one round_trip_element call (for exact-mie, one
-    # partial-wave sum over that chunk's samples), one row per dphi
+    # widest window by one round_trip_element call, one row per dphi
     k_in, k_out = k[jj], k[ii]
     delta = (2.0 * math.pi / m_grid) * np.arange(mh + 1)
     parity = kind is KernelKind.WKB0
@@ -508,6 +530,22 @@ def _xi_contribution(args) -> tuple[float, int]:
     return float(total), int(np.flatnonzero(~exact)[-1])
 
 
+def _mie_tables(xi_nodes, geometry: Geometry, config: QuadratureConfig) -> dict:
+    """The exact-mie amplitude tables of every xi node, from one partial-wave ell loop.
+
+    A kept pair's samples reach their largest sin(Theta/2) in its dphi = 0
+    column, which every kept pair samples, so the cos(Theta) of those
+    columns, evaluated as the element evaluates them, bound the panels of
+    each node's calls (see mie.panel_tables).
+    """
+    rho = geometry.aspect_ratio
+    samples = {}
+    for xi in xi_nodes:
+        k, ii, jj, _, _ = _kept_pairs(xi, rho, config)
+        samples[xi] = cos_theta(xi, k[jj], k[ii], 0.0)
+    return mie.panel_tables(rho, samples)
+
+
 @functools.cache
 def _openblas():
     """numpy's bundled OpenBLAS (numpy.libs) via ctypes, or None if not found."""
@@ -530,9 +568,7 @@ def _set_blas_threads(n: int) -> int | None:
     """Run numpy's bundled OpenBLAS on n threads; returns the previous count.
 
     Returns None, and does nothing, if the library or its setter is not
-    found.  With n = 1 it is also the pool-worker initializer: every worker
-    already occupies a core, so OpenBLAS threads of its own would
-    oversubscribe them.
+    found.
     """
     lib = _openblas()
     if lib is None:
@@ -540,6 +576,20 @@ def _set_blas_threads(n: int) -> int | None:
     before = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(n)
     return before
+
+
+def _pool_worker(xi_nodes, geometry, config) -> None:
+    """Initializer of a pool worker: BLAS on one thread, and the exact-mie tables.
+
+    Every worker already occupies a core, so OpenBLAS threads of its own
+    would oversubscribe them.  xi_nodes lists the nodes whose tables the
+    worker builds (none for the WKB kinds); see "exact-mie tables" in the
+    module docstring.  The tables go with the worker when the pool shuts
+    down.
+    """
+    _set_blas_threads(1)
+    if xi_nodes:
+        mie.use_tables(_mie_tables(xi_nodes, geometry, config))
 
 
 @contextmanager
@@ -567,7 +617,9 @@ def energy(geometry: Geometry, kind: KernelKind,
     BLAS on one thread each (results are summed in fixed node order
     regardless of scheduling).  A serial solve also runs BLAS on one
     thread, restoring the previous count when it returns or raises; a
-    thread count below 1 raises ValueError.
+    thread count below 1 raises ValueError.  An exact-mie solve first sums
+    the partial waves of every xi node in one loop, in the process or in
+    every pool worker (see "exact-mie tables" in the module docstring).
     diagnostics["m_factored"] lists, per xi node, the largest m whose block
     was factored rather than summed in closed form (0 when only M_0 was,
     -1 where no radial pair is kept).
@@ -577,13 +629,16 @@ def energy(geometry: Geometry, kind: KernelKind,
     if config is None:
         config = QuadratureConfig.auto(geometry)
     xi_nodes, xi_weights = half_line_nodes_weights(config.n_xi)
-    jobs = [(float(xi), geometry, kind, config) for xi in xi_nodes]
+    xi_list = [float(xi) for xi in xi_nodes]
+    jobs = [(xi, geometry, kind, config) for xi in xi_list]
+    exact = kind is KernelKind.EXACT_MIE
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_set_blas_threads,
-                                 initargs=(1,)) as pool:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_pool_worker,
+                                 initargs=(xi_list if exact else [], geometry, config)) as pool:
             results = list(pool.map(_xi_contribution, jobs))
     else:
-        with _one_blas_thread():
+        tables = _mie_tables(xi_list, geometry, config) if exact else {}
+        with _one_blas_thread(), mie.interpolation_tables(tables):
             results = [_xi_contribution(job) for job in jobs]
     g_values = np.array([res[0] for res in results])
     total = float(np.dot(xi_weights, g_values)) / (2.0 * math.pi)

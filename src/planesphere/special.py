@@ -76,10 +76,12 @@ def log_bessel_i_half(ell_max: int, x: float) -> np.ndarray:
     if ell_max < 0:
         raise ValueError("ell_max must be >= 0")
     # r[ell] = I_{ell+3/2}/I_{ell+1/2}, generated from ell_max down
-    r = [_bessel_i_ratio(ell_max + 0.5, x)]
-    for ell in range(ell_max - 1, -1, -1):
-        # 1/r_nu = 2(nu+1)/x + r_{nu+1}, nu = ell + 1/2
-        r.append(1.0 / ((2.0 * ell + 3.0) / x + r[-1]))
+    ratio = _bessel_i_ratio(ell_max + 0.5, x)
+    r = [ratio]
+    # 1/r_nu = 2(nu+1)/x + r_{nu+1}, nu = ell + 1/2, for ell = ell_max-1 .. 0
+    for step in ((2.0 * np.arange(ell_max - 1.0, -1.0, -1.0) + 3.0) / x).tolist():
+        ratio = 1.0 / (step + ratio)
+        r.append(ratio)
     r = np.array(r[::-1])
     out = np.empty(ell_max + 1)
     # log I_{1/2} = log(sqrt(2/(pi x))) + x + log((1 - e^{-2x})/2)
@@ -103,9 +105,11 @@ def log_bessel_k_half(ell_max: int, x: float) -> np.ndarray:
     if ell_max == 0:
         return out
     # t_nu = K_{nu+1}/K_nu; t_{1/2} = 1 + 1/x; t_nu = 1/t_{nu-1} + 2 nu/x
-    ratios = [out[0], 1.0 + 1.0 / x]
-    for ell in range(2, ell_max + 1):
-        ratios.append(1.0 / ratios[-1] + 2.0 * (ell - 0.5) / x)
+    ratio = 1.0 + 1.0 / x
+    ratios = [out[0], ratio]
+    for step in (2.0 * (np.arange(2.0, ell_max + 1.0) - 0.5) / x).tolist():
+        ratio = 1.0 / ratio + step
+        ratios.append(ratio)
     # extended-precision accumulation of the logs, as for I above
     steps = np.array(ratios, dtype=np.longdouble)
     np.log(steps[1:], out=steps[1:])
@@ -200,8 +204,8 @@ class AngularRecurrence:
 
     def __init__(self, z: np.ndarray):
         z = np.asarray(z, dtype=float)
-        if np.any(z > -1.0):
-            raise ValueError("angular functions require z <= -1")
+        if not (np.all(np.isfinite(z)) and np.all(z <= -1.0)):
+            raise ValueError("angular functions require finite z <= -1")
         self.z = z
         self.ell = 1
         # log q is taken of the rounded 1/q that the steps apply, so the

@@ -15,6 +15,7 @@ from planesphere.mie import (
     wkb_diffraction_s,
 )
 from planesphere.reflection import KernelKind, _amplitudes
+from planesphere.special import AngularRecurrence
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "special_values.csv"
 
@@ -215,6 +216,94 @@ def test_interpolated_amplitude_does_not_depend_on_its_call(x):
         np.testing.assert_allclose(in_wide[k][: z.size], batch[k], rtol=1e-14, atol=0.0)
         np.testing.assert_array_equal(shuffled[k], in_wide[k][perm])
         np.testing.assert_allclose([a[k][0] for a in alone], batch[k][::37], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("x", [0.003, 3.0, 30.0, 300.0])
+def test_one_coefficient_sizing_covers_the_sum(x):
+    # past sin(Theta/2) ~ 10 an element's sum ends ~5 sqrt(w) past its
+    # impact parameter w = x sin(Theta/2), beyond the Airy width 20 w^(1/3)
+    # once w > ~2e3; the sizing covers it up to w = 3e4 (R/L = 800 reaches
+    # 2.4e4 at its top panels), so the sum never outgrows its coefficients
+    s = np.array([1.0, 1.5, 10.0, 3e4 / x])
+    mant_perp, mant_par, _ = ExactAmplitudes(x, 1.0)(1.0 - 2.0 * s * s)
+    assert np.all(mant_perp < 0.0) and np.all(mant_par > 0.0)
+
+
+def test_skipping_underflowed_orders_changes_no_bit(monkeypatch):
+    # the orders before an element's first one add exact zeros: summing
+    # every element from ell = 1 gives the same mantissas bit for bit
+    x = 40.0
+    s = np.geomspace(1.0, 400.0, 60)
+    z = 1.0 - 2.0 * s * s
+    amps = ExactAmplitudes(x, 1.0)
+    skipped = amps(z)
+    log_scale = amps._log_scale(z)
+    first = amps._first_orders(AngularRecurrence(z).log_q, log_scale)
+    assert first.max() > 1000   # sin(Theta/2) = 400: w = 1.6e4
+    monkeypatch.setattr(ExactAmplitudes, "_first_orders",
+                        lambda self, log_q, log_scale: np.ones(log_q.size, dtype=np.intp))
+    for got, want in zip(amps(z), skipped):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.2, 5.0, 80.0, 2e3, 1e5])
+def test_log_mie_a_is_concave_in_ell(x):
+    # _first_orders relies on it: the increments of log|a_ell| never grow
+    _, log_a, _, _ = _mie_ab_log_arrays(x, int(x) + 3000)
+    assert np.all(np.diff(log_a, 2) <= 0.0)
+
+
+# x = xi R below 1, near 20 and above 300, with the panels each reaches
+SHARED_XI = {0.3: 40, 20.0: 25, 450.0: 6}
+
+
+def test_shared_loop_node_values_equal_per_xi_sums():
+    # the panel nodes of several xi summed over one angular recurrence,
+    # each xi as a batch of its own: every node value equals that of a
+    # call of its own ExactAmplitudes(xi, R) bit for bit
+    z = mie._panel_nodes(max(SHARED_XI.values()))
+    batches = []
+    for xi, panels in SHARED_XI.items():
+        amps = ExactAmplitudes(xi, 1.0)
+        z_xi = z[: panels * mie.PANEL_NODES]
+        batches.append(mie._Batch(amps, z_xi, amps._log_scale(z_xi)))
+    mie._sum_batches(list(batches), z)
+    for (xi, panels), batch in zip(SHARED_XI.items(), batches):
+        want = ExactAmplitudes(xi, 1.0)(z[: panels * mie.PANEL_NODES])
+        np.testing.assert_array_equal(batch.sums[0], want[0])
+        np.testing.assert_array_equal(batch.sums[1], want[1])
+
+
+def test_interpolated_amplitudes_read_the_tables_in_use(monkeypatch):
+    # a call up to its xi's top panel reads off the table what it would sum
+    # alone and runs no direct sum; a call past the top panel, or at an
+    # (xi, R) without a table, sums its own nodes; leaving the block, or
+    # raising in it, removes the tables
+    rng = np.random.default_rng(3)
+    # 1 - z up to 2^(panels/2), i.e. sin(Theta/2) up to about 2^(panels/4)
+    samples = {xi: -1.0 - 10.0 ** rng.uniform(-12.0, math.log10(2.0 ** (panels / 2)), 60)
+               for xi, panels in SHARED_XI.items()}
+    tables = mie.panel_tables(1.0, samples)
+    assert set(tables) == {(xi, 1.0) for xi in SHARED_XI}
+    alone = {xi: interpolated_amplitudes(xi, 1.0, z) for xi, z in samples.items()}
+    calls = []
+    direct = ExactAmplitudes.__call__
+    monkeypatch.setattr(ExactAmplitudes, "__call__",
+                        lambda self, z: calls.append(self.xi) or direct(self, z))
+    with mie.interpolation_tables(tables):
+        for xi, z in samples.items():
+            got = interpolated_amplitudes(xi, 1.0, z[::2])
+            for values, want in zip(got, alone[xi]):
+                np.testing.assert_array_equal(values, want[::2])
+        assert calls == []
+        interpolated_amplitudes(0.3, 1.0, [1.0 - 2.0 * 4.0 ** 11])   # sin(Theta/2) = 2^11
+        interpolated_amplitudes(0.3, 2.0, [-3.0])
+        assert calls == [0.3, 0.3]
+    assert not mie._TABLES
+    with pytest.raises(RuntimeError):
+        with mie.interpolation_tables(tables):
+            raise RuntimeError("probe")
+    assert not mie._TABLES
 
 
 def test_amplitudes_wkb_limit():

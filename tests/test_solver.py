@@ -2,16 +2,19 @@
 import ctypes
 import glob
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from planesphere import mie
 from planesphere.core import Geometry
-from planesphere.mie import wkb_diffraction_s
+from planesphere.mie import ExactAmplitudes, wkb_diffraction_s
 from planesphere.reflection import KernelKind, _p_diff, abcd_arrays, round_trip_element
 from planesphere import solver
+from planesphere.special import AngularRecurrence
 from planesphere.solver import (
     NonContractiveKernelError,
     QuadratureConfig,
@@ -685,6 +688,65 @@ def test_ratio_to_pfa_approaches_one():
 def test_energy_rejects_fewer_than_one_thread(threads):
     with pytest.raises(ValueError, match="threads"):
         energy(Geometry(R=3.0, L=1.0), KernelKind.WKB0, config=small_config(), threads=threads)
+
+
+def test_exact_mie_energy_does_not_depend_on_the_chunk_size(monkeypatch):
+    # every chunk of a xi node reads its amplitudes off the node's one
+    # table, so cutting the pairs into smaller chunks changes no bit
+    geometry = Geometry(R=20.0, L=1.0)
+    want = energy(geometry, KernelKind.EXACT_MIE).energy
+    monkeypatch.setattr(solver, "CHUNK_SAMPLES", 1 << 10)
+    assert energy(geometry, KernelKind.EXACT_MIE).energy == want
+
+
+def test_mie_tables_live_only_inside_energy(monkeypatch):
+    # the tables of a solve are gone when it returns or raises, so a second
+    # identical solve does the same work; no chunk sums partial waves itself
+    calls, steps = [], []
+    direct, advance = ExactAmplitudes.__call__, AngularRecurrence.advance
+    monkeypatch.setattr(ExactAmplitudes, "__call__",
+                        lambda self, z: calls.append(z.size) or direct(self, z))
+    monkeypatch.setattr(AngularRecurrence, "advance",
+                        lambda self, *a: steps.append(self.z.size) or advance(self, *a))
+    geometry = Geometry(R=10.0, L=1.0)
+    first = energy(geometry, KernelKind.EXACT_MIE)
+    assert not mie._TABLES
+    work, steps[:] = list(steps), []
+    second = energy(geometry, KernelKind.EXACT_MIE)
+    assert not mie._TABLES
+    assert second.energy == first.energy
+    assert work and steps == work
+    assert calls == []
+
+    seen = []
+
+    def failing(block):
+        seen.append(len(mie._TABLES))
+        raise NonContractiveKernelError("probe")
+
+    monkeypatch.setattr(solver, "log_det_contribution", failing)
+    with pytest.raises(NonContractiveKernelError):
+        energy(geometry, KernelKind.EXACT_MIE)
+    assert seen and seen[0] > 0
+    assert not mie._TABLES
+
+
+def test_pooled_exact_mie_equals_serial(monkeypatch):
+    # every worker builds the tables in the pool's initializer instead of
+    # inheriting the parent's memory: spawned workers, which import the
+    # package afresh (and chunk by the default CHUNK_SAMPLES), give the
+    # serial energy bit for bit
+    geometry = Geometry(R=10.0, L=1.0)
+    config = small_config(n_radial=24, n_xi=6)
+    monkeypatch.setattr(solver, "CHUNK_SAMPLES", 1 << 8)
+    serial = energy(geometry, KernelKind.EXACT_MIE, config=config).energy
+
+    class SpawnPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", SpawnPool)
+    assert energy(geometry, KernelKind.EXACT_MIE, config=config, threads=2).energy == serial
 
 
 def test_threads_do_not_change_result():

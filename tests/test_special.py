@@ -208,6 +208,14 @@ def test_angular_recurrence_rejects_bad_branch():
         AngularRecurrence(np.array([-3.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+def test_angular_recurrence_rejects_non_finite_z(bad):
+    # NaN compares false with everything, so a branch check z > -1 alone
+    # lets it through, and -inf lies on the branch but has no finite scale
+    with pytest.raises(ValueError, match="finite"):
+        AngularRecurrence(np.array([-3.0, bad]))
+
+
 @settings(max_examples=25)
 @given(st.floats(min_value=-50.0, max_value=-1.0), st.integers(min_value=2, max_value=400))
 def test_pi_tau_growth_is_monotone(z, ell_max):
