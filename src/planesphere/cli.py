@@ -373,8 +373,8 @@ _FLAGS = {
     "--n-azimuthal": dict(type=int, default=None),
     "--n-xi": dict(type=int, default=None),
     "--threads": dict(type=_at_least_one, default=1,
-                      help="worker processes over the frequency nodes (default 1); "
-                           "BLAS runs on one thread in each"),
+                      help="worker processes over the frequency nodes, at most one per "
+                           "node (default 1); BLAS runs on one thread in each"),
     "--length-unit-m": dict(type=_finite_positive, default=None,
                             help="meters per input length unit (finite, > 0), "
                                  "adds energy_joule"),

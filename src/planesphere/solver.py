@@ -73,6 +73,10 @@ Live radial nodes.  A node that lies in no kept pair has a zero row and
 column in every block, which adds 0 to a trace and ln 1 = 0 to a log det,
 so every block spans the live nodes only: those in at least one kept pair.
 
+Traces.  trace_Mr_numeric reads sum_m (2 - delta_m0) tr M_m^r, for r = 1
+and 2 only, off the moments of the closed-form rule below: tr M_m and the
+Frobenius norm f_m, with tr M_m^2 = f_m^2 since every block is symmetric.
+
 Azimuthal sum.  At every xi node with a kept pair the sum runs over all
 m = 0 .. n_azimuthal/2 (Nyquist); each block m >= 1 is either summed in
 closed form or factored, by the rule below, and m = 0 is always factored.
@@ -183,10 +187,10 @@ class QuadratureConfig:
 class BlockMatrix:
     """One azimuthal block of the symmetrized round-trip operator, or a wkb0 parity half.
 
-    build_blocks yields full symmetric blocks (2 n_live, 2 n_live); the
-    energy path passes log_det_contribution its reused buffer, of which only
-    the lower triangle is the block's, and for wkb0 the (n_live, n_live)
-    halves C + X and C - X (see _xi_contribution).
+    The energy path passes log_det_contribution its reused buffer, of which
+    only the lower triangle is the block's, and for wkb0 the (n_live, n_live)
+    halves C + X and C - X (see _xi_contribution); _iter_blocks yields full
+    symmetric (2 n_live, 2 n_live) blocks.
     """
 
     m: int
@@ -451,7 +455,7 @@ def _iter_blocks(xi: float, geometry: Geometry, kind: KernelKind,
                  config: QuadratureConfig) -> Iterator[BlockMatrix]:
     """Yield the blocks m = 0 .. n_azimuthal/2 over the live radial nodes, in full.
 
-    A node where no pair is kept yields none.
+    A node where no pair is kept yields none.  Only the tests use it.
     """
     n_live, positions, coef = _live_kernels(xi, geometry, kind, config)
     if n_live == 0:
@@ -461,12 +465,6 @@ def _iter_blocks(xi: float, geometry: Geometry, kind: KernelKind,
         block = np.tril(_assemble_block(lower, m, positions, coef))
         block += np.tril(block, -1).T
         yield BlockMatrix(m=m, xi=xi, entries=block)
-
-
-def build_blocks(xi: float, geometry: Geometry, kind: KernelKind,
-                 config: QuadratureConfig) -> list[BlockMatrix]:
-    """All azimuthal blocks at one frequency (see _iter_blocks)."""
-    return list(_iter_blocks(xi, geometry, kind, config))
 
 
 def log_det_contribution(block: BlockMatrix) -> float:
@@ -612,9 +610,9 @@ def energy(geometry: Geometry, kind: KernelKind,
     """Casimir energy in units hbar c / L, with the ratio to the PFA value.
 
     The xi integral runs over the nodes of half_line_nodes_weights, like
-    the radial integral; each node is independent, so
-    threads > 1 distributes nodes over a process pool whose workers run
-    BLAS on one thread each (results are summed in fixed node order
+    the radial integral; each node is independent, so threads > 1
+    distributes nodes over a process pool of min(threads, n_xi) workers,
+    each running BLAS on one thread (results are summed in fixed node order
     regardless of scheduling).  A serial solve also runs BLAS on one
     thread, restoring the previous count when it returns or raises; a
     thread count below 1 raises ValueError.  An exact-mie solve first sums
@@ -633,7 +631,7 @@ def energy(geometry: Geometry, kind: KernelKind,
     jobs = [(xi, geometry, kind, config) for xi in xi_list]
     exact = kind is KernelKind.EXACT_MIE
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_pool_worker,
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)), initializer=_pool_worker,
                                  initargs=(xi_list if exact else [], geometry, config)) as pool:
             results = list(pool.map(_xi_contribution, jobs))
     else:
@@ -658,13 +656,11 @@ def energy(geometry: Geometry, kind: KernelKind,
 
 def trace_Mr_numeric(r: int, xi: float, geometry: Geometry, kind: KernelKind,
                      config: QuadratureConfig) -> float:
-    """Sum_m (2 - delta_m0) tr(M_m^r) at one frequency."""
-    if r < 1:
-        raise ValueError("round-trip count must be >= 1")
-    weights = _azimuthal_weights(config)
-    total = 0.0
-    for block in _iter_blocks(xi, geometry, kind, config):
-        power = np.linalg.matrix_power(block.entries, r)
-        total += weights[block.m] * float(np.trace(power))
-    return float(total)
-
+    """Sum_m (2 - delta_m0) tr(M_m^r) at one frequency, r = 1 or 2 (see "Traces")."""
+    if r not in (1, 2):
+        raise ValueError("round-trip count must be 1 or 2")
+    n_live, positions, coef = _live_kernels(xi, geometry, kind, config)
+    if n_live == 0:
+        return 0.0
+    trace, norms = _block_moments(positions, 2 * n_live, coef)
+    return float(_azimuthal_weights(config) @ (trace if r == 1 else norms**2))

@@ -19,11 +19,12 @@ from planesphere.asymptotics import (
     reconstruct_e_p0_coefficients,
 )
 from planesphere.core import Geometry, Polarization
-from planesphere.reflection import KernelKind, sphere_element
+from planesphere.reflection import KernelKind, round_trip_element, sphere_element
 from planesphere.solver import (
     QuadratureConfig,
-    build_blocks,
+    _iter_blocks,
     energy,
+    half_line_nodes_weights,
     trace_Mr_numeric,
 )
 from planesphere.special import log_bessel_i_half, log_bessel_k_half
@@ -180,19 +181,35 @@ def test_criterion_7_exact_vs_wkb1_at_large_ratio():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_block_symmetry():
+    # every ordered radial pair sampled in both orientations on the full
+    # dphi grid, with no symmetry assumed: after the similarity diag(1, -i)
+    # on the TE sector each azimuthal block must be symmetric
     geometry = Geometry(R=3.0, L=1.0)
-    cfg = QuadratureConfig(n_radial=16, n_azimuthal=64, n_xi=8)
+    xi, n, m_grid = 0.9, 16, 64
+    k, wk = half_line_nodes_weights(n)
+    lw = np.sqrt(k * wk / (2.0 * math.pi))
+    delta = 2.0 * math.pi * np.arange(m_grid) / m_grid
+    sim = np.r_[np.ones(n), np.full(n, -1j)]
     for kind in KernelKind:
-        for block in build_blocks(0.9, geometry, kind, cfg)[:5]:
-            asym = np.max(np.abs(block.entries - block.entries.T))
-            scale = max(float(np.max(np.abs(block.entries))), 1e-300)
-            assert asym / scale < 1e-10
+        # kernel[d, p_out * n + i, p_in * n + j]: in = (k_j, phi 0), out =
+        # (k_i, phi delta_d), polarization index 0 = TM, 1 = TE
+        el = round_trip_element(xi, k[None, None, :], k[None, :, None],
+                                delta[:, None, None], geometry.aspect_ratio, kind)
+        weight = lw[:, None] * lw[None, :] * np.exp(el.log_scale)
+        kernel = np.block([[weight * el.mm, weight * el.me],
+                           [weight * el.em, weight * el.ee]])
+        blocks = np.fft.fft(kernel, axis=0) / m_grid   # e^{-i m delta_d} over d
+        for m, block in enumerate(blocks[: m_grid // 2 + 1]):
+            similar = sim[:, None] * block / sim[None, :]
+            asym = np.max(np.abs(similar - similar.T))
+            scale = max(float(np.max(np.abs(similar))), 1e-300)
+            assert asym / scale < 1e-10, (kind, m)
 
 
 def test_criterion_8_mercator_series_within_bound():
     geometry = Geometry(R=5.0, L=1.0)
     cfg = QuadratureConfig(n_radial=24, n_azimuthal=64, n_xi=8)
-    for block in build_blocks(0.8, geometry, KernelKind.EXACT_MIE, cfg)[:3]:
+    for block in list(_iter_blocks(0.8, geometry, KernelKind.EXACT_MIE, cfg))[:3]:
         m = block.entries
         dim = m.shape[0]
         eigs = np.linalg.eigvalsh(m)

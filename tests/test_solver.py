@@ -25,10 +25,10 @@ from planesphere.solver import (
     _closed_form_log_dets,
     _cos_sin_coefficients,
     _fourier_kernels,
+    _iter_blocks,
     _live_columns,
     _lower_positions,
     _xi_contribution,
-    build_blocks,
     energy,
     half_line_nodes_weights,
     log_det_contribution,
@@ -100,16 +100,6 @@ def test_cached_radial_rule_is_read_only():
 # block structure
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", list(KernelKind))
-def test_block_symmetry(kind):
-    geometry = Geometry(R=3.0, L=1.0)
-    cfg = small_config()
-    for block in build_blocks(0.9, geometry, kind, cfg)[:5]:
-        asym = np.max(np.abs(block.entries - block.entries.T))
-        scale = max(np.max(np.abs(block.entries)), 1e-300)
-        assert asym / scale < 1e-10
-
-
 @pytest.mark.parametrize("kind,rel", [
     (KernelKind.EXACT_MIE, 1e-10),
     (KernelKind.WKB0, 1e-10),
@@ -142,11 +132,10 @@ def test_blocks_match_direct_complex_construction(kind, rel, monkeypatch):
     kernel[:, :n, n:] = weight * el.me
     kernel[:, n:, :n] = weight * el.em
     kernel[:, n:, n:] = weight * el.ee
-    phases = np.exp(-1j * np.arange(m_grid)[:, None] * np.arange(4)[None, :])
     # the similarity diag(1, -i) on the TE sector takes the direct operator
     # to the real symmetric block entry by entry
     sim = np.diag(np.r_[np.ones(n), np.full(n, -1j)])
-    blocks = build_blocks(xi, geometry, kind, cfg)[:4]
+    blocks = list(_iter_blocks(xi, geometry, kind, cfg))[:4]
     assert [b.m for b in blocks] == [0, 1, 2, 3]
     for block in blocks:
         direct = np.tensordot(
@@ -195,7 +184,7 @@ def test_wkb1_resummation_approaches_linear_form(monkeypatch):
         kernel = (lw[:, None] * lw[None, :] * pref
                   * (a * amp * (1.0 + s_par / rho) - b * amp * (1.0 + s_perp / rho)))
         t_linear = float(np.mean(kernel, axis=0).trace())
-        block0 = build_blocks(xi, geometry, KernelKind.WKB1, cfg)[0]
+        block0 = next(_iter_blocks(xi, geometry, KernelKind.WKB1, cfg))
         t_resummed = float(np.trace(block0.entries[:n, :n]))
         gaps.append(abs(t_resummed / t_linear - 1.0))
     # the gap shrinks superlinearly in 1/R but not uniformly ~1/R^2: the
@@ -229,7 +218,7 @@ def test_spectral_radius_below_one():
     geometry = Geometry(R=10.0, L=1.0)
     cfg = small_config(n_radial=32)
     for kind in KernelKind:
-        for block in build_blocks(0.4, geometry, kind, cfg)[:7]:
+        for block in list(_iter_blocks(0.4, geometry, kind, cfg))[:7]:
             eigs = np.linalg.eigvalsh(block.entries)
             assert eigs.max() < 1.0
             assert eigs.min() > -1.0
@@ -239,7 +228,7 @@ def test_mercator_bound_per_block():
     # -log det(1 - M) = sum_r tr M^r / r >= tr M whenever the series converges
     geometry = Geometry(R=5.0, L=1.0)
     cfg = small_config(n_radial=24)
-    for block in build_blocks(0.8, geometry, KernelKind.EXACT_MIE, cfg)[:9]:
+    for block in list(_iter_blocks(0.8, geometry, KernelKind.EXACT_MIE, cfg))[:9]:
         _, logdet = np.linalg.slogdet(np.eye(block.entries.shape[0]) - block.entries)
         assert -logdet >= float(np.trace(block.entries)) - 1e-14
 
@@ -252,7 +241,7 @@ def test_mercator_partial_sums_bracket_logdet():
     """
     geometry = Geometry(R=5.0, L=1.0)
     cfg = small_config(n_radial=24)
-    for block in build_blocks(0.8, geometry, KernelKind.EXACT_MIE, cfg)[:3]:
+    for block in list(_iter_blocks(0.8, geometry, KernelKind.EXACT_MIE, cfg))[:3]:
         m = block.entries
         dim = m.shape[0]
         eigs = np.linalg.eigvalsh(m)
@@ -376,14 +365,16 @@ def test_blocks_span_live_nodes_up_to_nyquist():
     ii, jj, *_ = _fourier_kernels(xi, geometry, kind, config)
     n_live = np.union1d(ii, jj).size
     assert n_live < config.n_radial
-    blocks = build_blocks(xi, geometry, kind, config)
+    blocks = list(_iter_blocks(xi, geometry, kind, config))
     assert [b.m for b in blocks] == list(range(config.n_azimuthal // 2 + 1))
     assert all(b.entries.shape == (2 * n_live, 2 * n_live) for b in blocks)
 
 
-def test_traces_match_full_size_blocks_up_to_nyquist():
-    # the dead nodes' zero rows and columns add nothing to tr M^r
-    geometry, config, xi, kind = _criterion5_setup()
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_traces_match_full_size_blocks_up_to_nyquist(kind):
+    # the traces come from the block moments; the dead nodes' zero rows and
+    # columns add nothing to tr M^r, and wkb0 reads its two-sector positions
+    geometry, config, xi, _ = _criterion5_setup()
     coeffs = _fourier_kernels(xi, geometry, kind, config)
     weights = _azimuthal_weights(config)
     full = [_dense_block(config.n_radial, m, *coeffs)
@@ -393,6 +384,22 @@ def test_traces_match_full_size_blocks_up_to_nyquist():
                          for m, block in enumerate(full))
         got = trace_Mr_numeric(r, xi, geometry, kind, config)
         assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_traces_vanish_where_no_pair_is_kept():
+    geometry = Geometry(R=50.0, L=1.0)
+    config = QuadratureConfig.auto(geometry)
+    xi = float(half_line_nodes_weights(config.n_xi)[0][-1])
+    assert _fourier_kernels(xi, geometry, KernelKind.WKB1, config)[0].size == 0
+    for r in (1, 2):
+        assert trace_Mr_numeric(r, xi, geometry, KernelKind.WKB1, config) == 0.0
+
+
+@pytest.mark.parametrize("r", [0, 3])
+def test_traces_only_for_one_or_two_round_trips(r):
+    geometry, config, xi, kind = _criterion5_setup()
+    with pytest.raises(ValueError, match="round-trip count"):
+        trace_Mr_numeric(r, xi, geometry, kind, config)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +605,8 @@ def test_reused_buffer_factoring_matches_dense_blocks(kind, monkeypatch):
 def test_log_det_contribution_reads_the_lower_triangle_only():
     geometry = Geometry(R=4.0, L=1.0)
     rng = np.random.default_rng(7)
-    for block in build_blocks(1.2, geometry, KernelKind.WKB1, small_config(n_radial=20))[:4]:
+    cfg = small_config(n_radial=20)
+    for block in list(_iter_blocks(1.2, geometry, KernelKind.WKB1, cfg))[:4]:
         want = log_det_contribution(block)
         garbage = block.entries.copy()
         upper = np.triu_indices(garbage.shape[0], 1)
@@ -615,7 +623,7 @@ def _eigen_reference_energy(geometry, kind):
     xi_nodes, xi_weights = half_line_nodes_weights(config.n_xi)
     terms = []
     for xi, w_xi in zip(xi_nodes, xi_weights):
-        for block in build_blocks(float(xi), geometry, kind, config):
+        for block in _iter_blocks(float(xi), geometry, kind, config):
             weight = 1.0 if block.m in (0, mh) else 2.0
             log_det = np.log1p(-np.linalg.eigvalsh(block.entries))
             terms.extend(w_xi * weight * log_det)
@@ -635,7 +643,7 @@ def test_closed_form_energy_matches_cholesky_and_eigen_reference(monkeypatch):
 def test_log_det_contribution_matches_slogdet():
     geometry = Geometry(R=4.0, L=1.0)
     cfg = small_config(n_radial=20)
-    for block in build_blocks(1.2, geometry, KernelKind.WKB1, cfg)[:6]:
+    for block in list(_iter_blocks(1.2, geometry, KernelKind.WKB1, cfg))[:6]:
         got = log_det_contribution(block)
         _, want = np.linalg.slogdet(np.eye(block.entries.shape[0]) - block.entries)
         assert got == pytest.approx(float(want), rel=1e-11, abs=1e-14)
@@ -688,6 +696,33 @@ def test_ratio_to_pfa_approaches_one():
 def test_energy_rejects_fewer_than_one_thread(threads):
     with pytest.raises(ValueError, match="threads"):
         energy(Geometry(R=3.0, L=1.0), KernelKind.WKB0, config=small_config(), threads=threads)
+
+
+@pytest.mark.parametrize("threads,workers", [(64, 4), (3, 3)])
+def test_pool_never_exceeds_the_xi_nodes(threads, workers, monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker is started whatever the thread count
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    geometry, config = Geometry(R=3.0, L=1.0), small_config(n_xi=4)
+    serial = energy(geometry, KernelKind.WKB0, config=config).energy
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
+    pooled = energy(geometry, KernelKind.WKB0, config=config, threads=threads).energy
+    assert sizes == [workers]
+    assert pooled == pytest.approx(serial, rel=1e-14)
 
 
 def test_exact_mie_energy_does_not_depend_on_the_chunk_size(monkeypatch):
