@@ -100,6 +100,31 @@ def test_cached_radial_rule_is_read_only():
 # block structure
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_block_symmetry(kind):
+    # the solver samples one orientation of each radial pair and mirrors
+    # it; here both orientations are sampled on the full dphi grid, and
+    # after the similarity diag(1, -i) on the TE sector every azimuthal
+    # block must be symmetric (criterion 8 checks R/L = 3 at xi = 0.9)
+    geometry = Geometry(R=10.0, L=1.0)
+    xi, n, m_grid = 0.4, 16, 32
+    k, wk = half_line_nodes_weights(n)
+    lw = np.sqrt(k * wk / (2.0 * math.pi))
+    delta = 2.0 * math.pi * np.arange(m_grid) / m_grid
+    sim = np.r_[np.ones(n), np.full(n, -1j)]
+    el = round_trip_element(xi, k[None, None, :], k[None, :, None], delta[:, None, None],
+                            geometry.aspect_ratio, kind)
+    weight = lw[:, None] * lw[None, :] * np.exp(el.log_scale)
+    kernel = np.block([[weight * el.mm, weight * el.me],
+                       [weight * el.em, weight * el.ee]])
+    blocks = np.fft.fft(kernel, axis=0) / m_grid
+    for m, block in enumerate(blocks[: m_grid // 2 + 1]):
+        similar = sim[:, None] * block / sim[None, :]
+        asym = np.max(np.abs(similar - similar.T))
+        scale = max(float(np.max(np.abs(similar))), 1e-300)
+        assert asym / scale < 1e-10, m
+
+
 @pytest.mark.parametrize("kind,rel", [
     (KernelKind.EXACT_MIE, 1e-10),
     (KernelKind.WKB0, 1e-10),
