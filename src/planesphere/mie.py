@@ -24,10 +24,10 @@ One ell loop per energy.  The panel nodes do not depend on xi or R, and
 neither do pi_ell, tau_ell of a node, so `panel_tables` sums the nodes of
 every xi node of an energy in one loop over ell: one angular recurrence
 over the union of the nodes, and per xi its own coefficients, terms,
-running sums and stops.  The solver builds these tables before its xi
-loop (each pool worker builds its own) and puts them in use with
-`interpolation_tables`; every sampling chunk of a xi node then reads its
-amplitudes off the node's one table.
+running sums and stops.  The solver builds the tables of the xi nodes a
+process solves (all of them, or a pool worker's own) before its xi loop
+and puts them in use with `interpolation_tables`; every sampling chunk of
+a xi node then reads its amplitudes off the node's one table.
 A call that no table covers (the trace oracles, direct callers) sums its
 own nodes.
 
@@ -503,18 +503,14 @@ def panel_tables(R: float, samples: dict) -> dict:
     return {(xi, R): batch.sums for xi, batch in zip(panels, batches)}
 
 
-def use_tables(tables: dict) -> None:
-    """Let interpolated_amplitudes read the tables of `panel_tables` from now on."""
-    _TABLES.update(tables)
-
-
 @contextmanager
 def interpolation_tables(tables: dict):
-    """`use_tables` inside the block; the tables are removed on leaving it, return or raise.
+    """Let interpolated_amplitudes read the tables of `panel_tables` inside the block.
 
-    The tables in use are those of the process, keyed by (xi, R).
+    The tables in use are those of the process, keyed by (xi, R); these
+    are removed on leaving the block, by return or raise.
     """
-    use_tables(tables)
+    _TABLES.update(tables)
     try:
         yield
     finally:

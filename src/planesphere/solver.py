@@ -53,21 +53,18 @@ block [[C, X], [X, C]] is orthogonally similar to diag(C + X, C - X), so
 ln det(1 - M_m) = ln det(1 - C - X) + ln det(1 - C + X): two n x n
 factorizations instead of one 2n x 2n, a quarter of the flops.
 
-exact-mie tables.  Before its xi loop, an exact-mie energy builds the
-Chebyshev tables of mie.interpolated_amplitudes for every xi node in one
-partial-wave ell loop (mie.panel_tables); a node's table reaches the
-largest sin(Theta/2) its kept pairs sample, which lies in their dphi = 0
-column.  Every chunk of the node then reads its amplitudes off that table
-instead of summing partial waves of its own, so the energy does not
-depend on CHUNK_SAMPLES.  The tables are in use only during the solve:
-a serial solve builds them before its xi loop and reads them through
-mie.interpolation_tables; with a pool, every worker builds them in its
-initializer and keeps them until the pool shuts down.  The build is
-deterministic, so every worker reads the same amplitudes as a serial
-solve, whatever the start method; it costs each worker one build, run
-in parallel, and leaves the parent process as lean as it was without it
-(built in the parent, the tables raised the peak RSS of a pooled R/L = 10
-solve by 15 %).
+exact-mie tables.  Before its xi loop, an exact-mie solve of a set of xi
+nodes builds the Chebyshev tables of mie.interpolated_amplitudes for those
+nodes in one partial-wave ell loop (mie.panel_tables); a node's table
+reaches the largest sin(Theta/2) its kept pairs sample, which lies in their
+dphi = 0 column.  Every chunk of the node then reads its amplitudes off
+that table instead of summing partial waves of its own, so the energy does
+not depend on CHUNK_SAMPLES.  The tables are in use only while those nodes
+are solved (mie.interpolation_tables).  A serial energy solves all its
+nodes in one such set; with a pool, every worker solves one set and builds
+the tables of its own nodes only.  A node's table does not depend on the
+other nodes of its loop, so a worker reads the same amplitudes as a serial
+solve, whatever the start method.
 
 Live radial nodes.  A node that lies in no kept pair has a zero row and
 column in every block, which adds 0 to a trace and ln 1 = 0 to a log det,
@@ -562,47 +559,43 @@ def _openblas():
     return None
 
 
-def _set_blas_threads(n: int) -> int | None:
-    """Run numpy's bundled OpenBLAS on n threads; returns the previous count.
-
-    Returns None, and does nothing, if the library or its setter is not
-    found.
-    """
-    lib = _openblas()
-    if lib is None:
-        return None
-    before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(n)
-    return before
-
-
-def _pool_worker(xi_nodes, geometry, config) -> None:
-    """Initializer of a pool worker: BLAS on one thread, and the exact-mie tables.
-
-    Every worker already occupies a core, so OpenBLAS threads of its own
-    would oversubscribe them.  xi_nodes lists the nodes whose tables the
-    worker builds (none for the WKB kinds); see "exact-mie tables" in the
-    module docstring.  The tables go with the worker when the pool shuts
-    down.
-    """
-    _set_blas_threads(1)
-    if xi_nodes:
-        mie.use_tables(_mie_tables(xi_nodes, geometry, config))
-
-
 @contextmanager
 def _one_blas_thread():
     """Run numpy's bundled OpenBLAS on one thread, then restore its count.
 
-    A serial solve factors blocks of at most a few hundred rows, where one
-    thread is not slower and leaves the other cores to other processes.
+    Blocks have at most a few hundred rows, where one thread is not slower;
+    it leaves the other cores to other processes, and to the other workers
+    of a pool.  Does nothing if _openblas finds no library, or if OpenBLAS
+    already runs on one thread: a forked pool worker inherits that count,
+    and setting it there would start OpenBLAS's thread server in the worker,
+    whose idle thread spins for about 0.1 s on a core the workers need.
     """
-    before = _set_blas_threads(1)
+    lib = _openblas()
+    before = 1 if lib is None else lib.scipy_openblas_get_num_threads64_()
+    if before == 1:
+        yield
+        return
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
-        if before is not None:
-            _set_blas_threads(before)
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
+def _solve_nodes(args) -> list[tuple[float, int]]:
+    """_xi_contribution at each of a set of xi nodes, in their order.
+
+    args = (xi_nodes, geometry, kind, config).  An exact-mie solve first
+    builds the tables of these nodes only (see "exact-mie tables").  The
+    results are returned unread, as _xi_contribution gives them: wrapped by
+    perfbench/tracer.py in a pool worker, it returns objects that become
+    results only when unpickled in the parent.
+    """
+    xi_nodes, geometry, kind, config = args
+    exact = kind is KernelKind.EXACT_MIE
+    tables = _mie_tables(xi_nodes, geometry, config) if exact else {}
+    with _one_blas_thread(), mie.interpolation_tables(tables):
+        return [_xi_contribution((xi, geometry, kind, config)) for xi in xi_nodes]
 
 
 def energy(geometry: Geometry, kind: KernelKind,
@@ -610,17 +603,17 @@ def energy(geometry: Geometry, kind: KernelKind,
     """Casimir energy in units hbar c / L, with the ratio to the PFA value.
 
     The xi integral runs over the nodes of half_line_nodes_weights, like
-    the radial integral; each node is independent, so threads > 1
-    distributes nodes over a process pool of min(threads, n_xi) workers,
-    each running BLAS on one thread (results are summed in fixed node order
-    regardless of scheduling).  A serial solve also runs BLAS on one
-    thread, restoring the previous count when it returns or raises; a
-    thread count below 1 raises ValueError.  An exact-mie solve first sums
-    the partial waves of every xi node in one loop, in the process or in
-    every pool worker (see "exact-mie tables" in the module docstring).
-    diagnostics["m_factored"] lists, per xi node, the largest m whose block
-    was factored rather than summed in closed form (0 when only M_0 was,
-    -1 where no radial pair is kept).
+    the radial integral; each node is independent, so threads > 1 deals
+    the nodes round-robin to a process pool of min(threads, n_xi) workers,
+    one set of nodes per worker (results are summed in fixed node order
+    regardless of scheduling).  Every set, and a serial solve's one set of
+    all nodes, is solved by _solve_nodes, with BLAS on one thread (pinned
+    here too, so that forked workers inherit the count; restored when the
+    solve returns or raises) and for exact-mie the tables of that set's
+    nodes only (see "exact-mie tables" in the module docstring).  A thread
+    count below 1 raises ValueError.  diagnostics["m_factored"] lists, per xi
+    node, the largest m whose block was factored rather than summed in
+    closed form (0 when only M_0 was, -1 where no radial pair is kept).
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -628,16 +621,17 @@ def energy(geometry: Geometry, kind: KernelKind,
         config = QuadratureConfig.auto(geometry)
     xi_nodes, xi_weights = half_line_nodes_weights(config.n_xi)
     xi_list = [float(xi) for xi in xi_nodes]
-    jobs = [(xi, geometry, kind, config) for xi in xi_list]
-    exact = kind is KernelKind.EXACT_MIE
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)), initializer=_pool_worker,
-                                 initargs=(xi_list if exact else [], geometry, config)) as pool:
-            results = list(pool.map(_xi_contribution, jobs))
-    else:
-        tables = _mie_tables(xi_list, geometry, config) if exact else {}
-        with _one_blas_thread(), mie.interpolation_tables(tables):
-            results = [_xi_contribution(job) for job in jobs]
+    workers = min(threads, len(xi_list))
+    jobs = [(xi_list[i::workers], geometry, kind, config) for i in range(workers)]
+    with _one_blas_thread():
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(_solve_nodes, jobs))
+        else:
+            parts = list(map(_solve_nodes, jobs))
+    results = [None] * len(xi_list)
+    for i, part in enumerate(parts):
+        results[i::workers] = part
     g_values = np.array([res[0] for res in results])
     total = float(np.dot(xi_weights, g_values)) / (2.0 * math.pi)
     pfa = e_pfa(geometry)

@@ -723,24 +723,31 @@ def test_energy_rejects_fewer_than_one_thread(threads):
         energy(Geometry(R=3.0, L=1.0), KernelKind.WKB0, config=small_config(), threads=threads)
 
 
+class InlinePool:
+    """A stand-in for solver.ProcessPoolExecutor that maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
 @pytest.mark.parametrize("threads,workers", [(64, 4), (3, 3)])
 def test_pool_never_exceeds_the_xi_nodes(threads, workers, monkeypatch):
     # a stand-in pool records its size and maps in this process, so no
     # worker is started whatever the thread count
     sizes = []
 
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
+    class RecordingPool(InlinePool):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
 
     geometry, config = Geometry(R=3.0, L=1.0), small_config(n_xi=4)
     serial = energy(geometry, KernelKind.WKB0, config=config).energy
@@ -748,6 +755,28 @@ def test_pool_never_exceeds_the_xi_nodes(threads, workers, monkeypatch):
     pooled = energy(geometry, KernelKind.WKB0, config=config, threads=threads).energy
     assert sizes == [workers]
     assert pooled == pytest.approx(serial, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_pool_workers_split_the_xi_nodes(kind, monkeypatch):
+    # three workers over four nodes get uneven sets; each set is solved in
+    # this process, builds the exact-mie tables of its own nodes only, and
+    # the reassembled results equal the serial solve's bit for bit
+    geometry, config = Geometry(R=3.0, L=1.0), small_config(n_xi=4)
+    serial = energy(geometry, kind, config=config)
+    built, build = [], solver._mie_tables
+    monkeypatch.setattr(solver, "_mie_tables",
+                        lambda xi_nodes, *args: built.append(xi_nodes) or build(xi_nodes, *args))
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", InlinePool)
+    pooled = energy(geometry, kind, config=config, threads=3)
+    assert pooled.energy == serial.energy
+    assert pooled.diagnostics == serial.diagnostics
+    if kind is KernelKind.EXACT_MIE:
+        nodes = list(half_line_nodes_weights(4)[0])
+        assert sorted(xi for xi_nodes in built for xi in xi_nodes) == nodes
+        assert len(built) == 3
+    else:
+        assert built == []
 
 
 def test_exact_mie_energy_does_not_depend_on_the_chunk_size(monkeypatch):
@@ -792,7 +821,7 @@ def test_mie_tables_live_only_inside_energy(monkeypatch):
 
 
 def test_pooled_exact_mie_equals_serial(monkeypatch):
-    # every worker builds the tables in the pool's initializer instead of
+    # every worker builds the tables of its own xi nodes instead of
     # inheriting the parent's memory: spawned workers, which import the
     # package afresh (and chunk by the default CHUNK_SAMPLES), give the
     # serial energy bit for bit
@@ -833,20 +862,29 @@ def _blas_threads():
 
 
 def test_pool_workers_run_blas_on_one_thread(monkeypatch):
+    # the count is read where a worker factors its first block, and sent
+    # back in the error that stops the solve; with it the worker's OS
+    # thread count, since a forked worker inherits the parent's pinned count
+    # and must not start OpenBLAS's thread server, whose idle thread spins
     if _blas_threads() is None:
         pytest.skip("numpy's bundled OpenBLAS getter not found")
-    probes = []
 
-    class ProbingPool(ProcessPoolExecutor):
-        """The pool energy() starts, asked once for a worker's BLAS threads."""
+    def probing(block):
+        tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1
+        raise NonContractiveKernelError(f"{os.getpid()} {_blas_threads()} {tasks}")
 
+    class ForkPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            probes.append(self.submit(_blas_threads))
+            super().__init__(*args, mp_context=multiprocessing.get_context("fork"), **kwargs)
 
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", ProbingPool)
-    energy(Geometry(R=3.0, L=1.0), KernelKind.WKB0, config=small_config(n_xi=4), threads=2)
-    assert [probe.result() for probe in probes] == [1]
+    monkeypatch.setattr(solver, "log_det_contribution", probing)
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", ForkPool)
+    with pytest.raises(NonContractiveKernelError) as probe:
+        energy(Geometry(R=3.0, L=1.0), KernelKind.WKB0, config=small_config(n_xi=4), threads=2)
+    pid, threads, tasks = str(probe.value).split()
+    assert int(pid) != os.getpid()
+    assert threads == "1"
+    assert tasks == "1"
 
 
 def test_serial_solve_runs_blas_on_one_thread(monkeypatch):
