@@ -17,17 +17,21 @@ check, which is the level of the direct sum's own rounding there; that
 rounding grows with x sin(Theta/2), to ~2.5e-10 at 7.8e4, which R/L = 800
 reaches.  exact-mie energies move by ~1e-15.  `ExactAmplitudes` stays the
 one implementation of the sum, and the oracle of the tests.  Each element
-of the sum stops on its own, so its value depends on its own cos(Theta)
-and not on the rest of its call.
+of the sum stops on its own, and the Mie coefficients of an order do not
+depend on how many orders a call sizes them for, so an element's value
+depends, bit for bit, on its own cos(Theta) and not on the rest of its
+call.
 
 One ell loop per energy.  The panel nodes do not depend on xi or R, and
 neither do pi_ell, tau_ell of a node, so `panel_tables` sums the nodes of
 every xi node of an energy in one loop over ell: one angular recurrence
 over the union of the nodes, and per xi its own coefficients, terms,
-running sums and stops.  The solver builds the tables of the xi nodes a
-process solves (all of them, or a pool worker's own) before its xi loop
-and puts them in use with `interpolation_tables`; every sampling chunk of
-a xi node then reads its amplitudes off the node's one table.
+running sums and stops.  A table holds the Chebyshev coefficients of its
+xi node's interpolants, transformed once.  The solver builds the tables
+of the xi nodes a process solves (all of them, or a pool worker's own)
+before its xi loop and puts them in use with `interpolation_tables`;
+every sampling chunk of a xi node then reads its amplitudes off the
+node's one table.
 A call that no table covers (the trace oracles, direct callers) sums its
 own nodes.
 
@@ -64,7 +68,7 @@ LOG_HALF_PI = math.log(math.pi / 2.0)
 
 
 class TruncationError(RuntimeError):
-    """Partial-wave sum failed to converge before the ell cap."""
+    """Partial-wave sum failed to converge by the last order of its coefficients."""
 
     def __init__(self, message: str, ell_reached: int, worst_rel: float):
         super().__init__(message)
@@ -74,8 +78,8 @@ class TruncationError(RuntimeError):
 
 def _mie_ab_log_arrays(x: float, ell_max: int):
     """(sign_a, log|a|, sign_b, log|b|) for ell = 1..ell_max at x = xi*R/c."""
-    if x <= 0.0:
-        raise ValueError("size parameter x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("size parameter x must be finite and positive")
     log_i = log_bessel_i_half(ell_max + 1, x)
     log_k = log_bessel_k_half(ell_max + 1, x)
     ell = np.arange(1, ell_max + 1)
@@ -161,8 +165,8 @@ class ExactAmplitudes:
     TOL = 1e-13
 
     def __init__(self, xi: float, R: float):
-        if xi <= 0.0 or R <= 0.0:
-            raise ValueError("ExactAmplitudes requires xi > 0 and R > 0")
+        if not (0.0 < xi < math.inf and 0.0 < R < math.inf):
+            raise ValueError("ExactAmplitudes requires finite xi > 0 and R > 0")
         self.xi = xi
         self.R = R
         self.x = xi * R
@@ -186,27 +190,21 @@ class ExactAmplitudes:
         self._kb = c_ell * sign_b * np.array(list(map(math.exp, (log_b - log_a).tolist())))
         self._n_coeff = n
 
-    def _cap_for(self, z_extreme: float) -> int:
-        # dominant ell grows like x * sqrt((|z|+1)/2) (impact parameter)
-        return int(3.0 * self.x * math.sqrt((abs(z_extreme) + 1.0) / 2.0)) + 4000
-
-    def _size(self, z, log_scale) -> int:
-        """Coefficients for the elements z, before the ell loop; returns the last order summed.
+    def _size(self, log_scale) -> int:
+        """Coefficients for elements of these log scales, before the ell loop; returns the limit.
 
         An element's terms peak near its impact parameter w = x
-        sin(Theta/2) and its sum ends past it: within ~20 w^(1/3) near
-        sin(Theta/2) = 1, where they fall off over the Airy width, and
-        within sqrt(w ln(1/TOL)) at large sin(Theta/2), where they fall
-        like e^{-(ell - w)^2/w}.  The coefficients are sized for the largest
-        w of the elements, and the sum stops there or at the cap, whichever
-        comes first; an element not converged by then raises
-        TruncationError.
+        sin(Theta/2) = log_scale/2 and its sum ends past it: within ~20
+        w^(1/3) near sin(Theta/2) = 1, where they fall off over the Airy
+        width, and within sqrt(w ln(1/TOL)) at large sin(Theta/2), where
+        they fall like e^{-(ell - w)^2/w}.  The coefficients are sized for
+        the largest w of the elements, and the sum stops at their last
+        order; an element not converged by then raises TruncationError.
         """
-        cap = self._cap_for(float(z.min()))
         w_max = 0.5 * float(log_scale.max())
         width = max(20.0 * w_max ** (1.0 / 3.0), math.sqrt(w_max * math.log(1.0 / self.TOL)))
-        self._extend(min(cap, int(w_max + width + 32)))
-        return min(cap, self._n_coeff)
+        self._extend(int(w_max + width + 32))
+        return self._n_coeff
 
     def _first_orders(self, log_q, log_scale) -> np.ndarray:
         """Per element, the first order whose term can be nonzero (see LOG_UNDERFLOW).
@@ -277,27 +275,31 @@ class ExactAmplitudes:
         z = _cos_theta(z)
         if z.size == 0:
             return tuple(np.empty_like(z) for _ in range(3))
-        log_scale = self._log_scale(z)
-        batch = _Batch(self, z, log_scale)
-        _sum_batches([batch], z)
-        return batch.sums[0], batch.sums[1], log_scale
+        (sums,) = _sum_batches([(self, z.size)], z)
+        return sums[0], sums[1], self._log_scale(z)
 
 
 class _Batch:
     """The elements of one sum of an `ExactAmplitudes`, between ell-blocks.
 
-    An element waits until the block that reaches its first order (see
-    `ExactAmplitudes._first_orders`) and is summed from then on until it
-    stops.  z, log_q (the recurrence's), log_scale, the running sums and
-    the calm flags are those of the summed elements, `active` their places
-    in `sums` (filled as they stop), and `cols` the column of each element
-    in the recurrence (stale once it has stopped).
+    A batch sums the elements z (cos(Theta), with log_q the recurrence's)
+    up to its `limit`, the last order of the coefficients that `_size`
+    fits to them.  An element waits until the block that reaches its first
+    order (see `ExactAmplitudes._first_orders`, never past the limit) and
+    is summed from then on until it stops.  z, log_q, log_scale, the
+    running sums and the calm flags are those of the summed elements, in
+    the order they joined; `active` holds their places in `sums` (filled
+    as they stop), and `cols` the column of each element in the
+    recurrence (stale once it has stopped).
     """
 
-    def __init__(self, amps: ExactAmplitudes, z, log_scale):
+    def __init__(self, amps: ExactAmplitudes, z, log_q):
         self.amps = amps
-        self.limit = amps._size(z, log_scale)
-        self._z, self._log_scale = z, log_scale
+        log_scale = amps._log_scale(z)
+        self.limit = amps._size(log_scale)
+        self._z, self._log_q, self._log_scale = z, log_q, log_scale
+        self._first = amps._first_orders(log_q, log_scale)
+        self.waiting = np.argsort(self._first, kind="stable")
         self.cols = np.arange(z.size)
         self.sums = np.empty((2, z.size))
         self.active = np.empty(0, dtype=np.intp)
@@ -305,29 +307,18 @@ class _Batch:
         self.running = np.zeros((2, 0))   # running sums after the last block
         self.settled = np.zeros((2, 0), dtype=bool)   # calm flags (see step) of the last two orders
 
-    def queue(self, log_q) -> None:
-        """Queue every element by its first order; log_q is the recurrence's, by column."""
-        self._log_q = log_q[self.cols]
-        # none waits past the limit, where an unconverged sum must raise
-        self._first = np.minimum(self.amps._first_orders(self._log_q, self._log_scale), self.limit)
-        self.waiting = np.argsort(self._first, kind="stable")
-
     def start(self, ell: int) -> None:
         """Sum from now on the waiting elements whose first order is below ell."""
         n = np.searchsorted(self._first[self.waiting], ell)
         if n == 0:
             return
         new, self.waiting = self.waiting[:n], self.waiting[n:]
-        # the summed elements stay in the order of their columns
-        active = np.concatenate((self.active, new))
-        order = np.argsort(active, kind="stable")
-        self.active = active[order]
-        self.z = np.concatenate((self.z, self._z[new]))[order]
-        self.log_q = np.concatenate((self.log_q, self._log_q[new]))[order]
-        self.log_scale = np.concatenate((self.log_scale, self._log_scale[new]))[order]
-        self.running = np.concatenate((self.running, np.zeros((2, n))), axis=1)[:, order]
-        self.settled = np.concatenate((self.settled, np.zeros((2, n), dtype=bool)),
-                                      axis=1)[:, order]
+        self.active = np.concatenate((self.active, new))
+        self.z = np.concatenate((self.z, self._z[new]))
+        self.log_q = np.concatenate((self.log_q, self._log_q[new]))
+        self.log_scale = np.concatenate((self.log_scale, self._log_scale[new]))
+        self.running = np.concatenate((self.running, np.zeros((2, n))), axis=1)
+        self.settled = np.concatenate((self.settled, np.zeros((2, n), dtype=bool)), axis=1)
 
     def step(self, ell, pi, pi_prev) -> bool:
         """Sum the orders ell, ell+1, ... in the rows of pi, pi_prev; True once all have stopped."""
@@ -378,19 +369,22 @@ class _Batch:
         return False
 
 
-def _sum_batches(batches: list[_Batch], z: np.ndarray) -> None:
-    """Sum every batch, each over a leading part of z, with one angular recurrence over z.
+def _sum_batches(parts: list[tuple[ExactAmplitudes, int]], z: np.ndarray) -> list[np.ndarray]:
+    """The sums (perp, par) of each part (amps, count) over z[:count], from one recurrence over z.
 
-    The recurrence steps one ell at a time into the rows of (ell-block x
+    Every partial-wave sum is set up here: each part becomes a `_Batch` of
+    its own ExactAmplitudes, with its own coefficients and limit.  The
+    recurrence steps one ell at a time into the rows of (ell-block x
     elements) arrays; each batch takes the rows of the columns it sums
     and evaluates its block (`_Batch.step`).  A batch's block spans no
     more than about BLOCK_ELEMENTS entries and the recurrence's no more
     than 4 BLOCK_ELEMENTS, and an element of z leaves the recurrence once
-    every batch that sums it has stopped it.
+    every batch that sums it has stopped it.  Returns one (2, count) array
+    per part, in their order.
     """
     rec = AngularRecurrence(z)
-    for batch in batches:
-        batch.queue(rec.log_q)
+    batches = [_Batch(amps, z[:count], rec.log_q[:count]) for amps, count in parts]
+    sums = [batch.sums for batch in batches]
     ell = 1     # first order of the next block
     while batches:
         m = rec.z.size
@@ -409,9 +403,7 @@ def _sum_batches(batches: list[_Batch], z: np.ndarray) -> None:
         left, dropped = [], False
         for batch in batches:
             active = batch.active.size
-            if active == m:   # every column, in order
-                done = batch.step(ell, pi, pi_prev)
-            elif active:
+            if active:
                 cols = batch.cols[batch.active]
                 done = batch.step(ell, pi.take(cols, axis=1), pi_prev.take(cols, axis=1))
             else:   # every element still waits
@@ -432,9 +424,10 @@ def _sum_batches(batches: list[_Batch], z: np.ndarray) -> None:
                 for batch in batches:
                     batch.cols = batch_cols[batch.cols]
         ell += rows
+    return sums
 
 
-# the tables of interpolated_amplitudes in use, by (xi, R) (see interpolation_tables)
+# the Chebyshev tables of interpolated_amplitudes in use, by (xi, R) (see interpolation_tables)
 _TABLES: dict[tuple[float, float], np.ndarray] = {}
 
 
@@ -475,15 +468,16 @@ def _chebyshev_table(values: np.ndarray) -> np.ndarray:
 def panel_tables(R: float, samples: dict) -> dict:
     """The tables of `interpolated_amplitudes` for several xi at one R, from one ell loop.
 
-    A table holds the mantissas (perp, par) of the direct sum at the panel
-    nodes (`_panel_nodes`).  samples maps each xi to the cos(Theta) values
-    its calls will reach (or to the most negative of them); its table spans
-    the panels up to the one holding the largest sin(Theta/2), and a xi
-    without samples gets none.
+    A table holds the Chebyshev coefficients (`_chebyshev_table`) of the
+    mantissas (perp, par) of the direct sum at the panel nodes
+    (`_panel_nodes`), transformed once here.  samples maps each xi to the
+    cos(Theta) values its calls will reach (or to the most negative of
+    them); its table spans the panels up to the one holding the largest
+    sin(Theta/2), and a xi without samples gets none.
     The panel nodes are the same for every xi, so `_sum_batches` sums all
     of them over one angular recurrence, the nodes of each xi as a batch of
-    its own ExactAmplitudes(xi, R): a node's value is bit for bit that of a
-    call of interpolated_amplitudes reaching the same top panel.  Returns
+    its own ExactAmplitudes(xi, R): a node's value is bit for bit that of
+    any call of interpolated_amplitudes that sums it.  Returns
     {(xi, R): table} for `interpolation_tables`.
     """
     panels = {}
@@ -494,13 +488,9 @@ def panel_tables(R: float, samples: dict) -> dict:
     if not panels:
         return {}
     z = _panel_nodes(max(panels.values()))
-    batches = []
-    for xi, count in panels.items():
-        amps = ExactAmplitudes(xi, R)
-        z_xi = z[: count * PANEL_NODES]
-        batches.append(_Batch(amps, z_xi, amps._log_scale(z_xi)))
-    _sum_batches(list(batches), z)
-    return {(xi, R): batch.sums for xi, batch in zip(panels, batches)}
+    sums = _sum_batches([(ExactAmplitudes(xi, R), count * PANEL_NODES)
+                         for xi, count in panels.items()], z)
+    return {(xi, R): _chebyshev_table(values) for xi, values in zip(panels, sums)}
 
 
 @contextmanager
@@ -526,27 +516,26 @@ def interpolated_amplitudes(xi: float, R: float, z: np.ndarray):
     grows (x = xi R).  The range of s is cut into fixed panels,
     [PANEL_RATIO^k, PANEL_RATIO^(k+1)] for k = 0, 1, ..., and the direct sum
     runs over PANEL_NODES Chebyshev points in log s of every panel; each z
-    is evaluated by Clenshaw's recurrence on its own panel.  The node
-    values come from the (xi, R) table of `interpolation_tables` when one
-    is in use and reaches the panel of the largest s of the call;
-    otherwise the call sums the nodes of the panels up to that one itself.
-    The panels do not depend on the call, and a node's sum depends on its
-    own z; only the coefficient sizing, set by the top panel, rounds, so an
-    amplitude does not depend on the other values in its call beyond that
-    rounding.  The log scale is exact, and the mantissas agree with the
-    direct sum to 1e-11 relative for x sin(Theta/2) up to ~2.5e3, the range
-    tests/test_mie.py checks; at 7.8e4 they differ by up to 2.5e-10, the
-    direct sum's own rounding there.
+    is evaluated by Clenshaw's recurrence on its own panel.  The
+    coefficients come from the (xi, R) table of `interpolation_tables` when
+    one is in use and reaches the panel of the largest s of the call;
+    otherwise the call sums the nodes of the panels up to that one itself
+    and transforms them.  The panels do not depend on the call, a node's
+    sum depends on its own z, and the Mie coefficients do not depend on
+    their sizing, which the top panel sets, so an amplitude does not depend
+    on the other values in its call, bit for bit.  The log scale is exact,
+    and the mantissas agree with the direct sum to 1e-11 relative for x
+    sin(Theta/2) up to ~2.5e3, the range tests/test_mie.py checks; at 7.8e4
+    they differ by up to 2.5e-10, the direct sum's own rounding there.
     """
     z = _cos_theta(z)
     x = xi * R
     half, v, panel = _panel_coordinate(z)
     log_scale = 2.0 * x * half
     panels = int(panel.max(initial=-1)) + 1
-    values = _TABLES.get((xi, R))
-    if values is None or values.shape[1] < panels * PANEL_NODES:
-        values = np.array(ExactAmplitudes(xi, R)(_panel_nodes(panels))[:2])
-    coef = _chebyshev_table(values)
+    coef = _TABLES.get((xi, R))
+    if coef is None or coef.shape[2] < panels:
+        coef = _chebyshev_table(np.array(ExactAmplitudes(xi, R)(_panel_nodes(panels))[:2]))
     # Clenshaw: b_j = c_j + 2t b_{j+1} - b_{j+2}, both channels at once, with
     # c_j gathered for the panel of each z
     t = v - panel

@@ -71,8 +71,8 @@ def log_bessel_i_half(ell_max: int, x: float) -> np.ndarray:
     order (each step is a stable rational map) and anchored at
     I_{1/2} = sqrt(2/(pi x)) sinh x.
     """
-    if x <= 0.0:
-        raise ValueError("bessel argument must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("bessel argument must be finite and positive")
     if ell_max < 0:
         raise ValueError("ell_max must be >= 0")
     # r[ell] = I_{ell+3/2}/I_{ell+1/2}, generated from ell_max down
@@ -96,8 +96,8 @@ def log_bessel_i_half(ell_max: int, x: float) -> np.ndarray:
 
 def log_bessel_k_half(ell_max: int, x: float) -> np.ndarray:
     """log K_{ell+1/2}(x) for ell = 0..ell_max (upward ratio recurrence)."""
-    if x <= 0.0:
-        raise ValueError("bessel argument must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("bessel argument must be finite and positive")
     if ell_max < 0:
         raise ValueError("ell_max must be >= 0")
     out = np.empty(ell_max + 1)

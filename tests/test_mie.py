@@ -63,6 +63,15 @@ def test_mie_input_validation():
         ExactAmplitudes(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mie_and_bessel_entry_points_reject_non_finite_arguments(bad):
+    for call in (lambda: ExactAmplitudes(bad, 1.0), lambda: ExactAmplitudes(1.0, bad),
+                 lambda: _mie_ab_log_arrays(bad, 3), lambda: mie.log_bessel_i_half(3, bad),
+                 lambda: mie.log_bessel_k_half(3, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_amplitudes_against_fixtures():
     perp_rows = load_fixtures("s_perp")
     par_rows = load_fixtures("s_par")
@@ -199,10 +208,9 @@ def test_interpolated_amplitudes_against_fixtures():
 
 @pytest.mark.parametrize("x", [0.0176, 3.0, 300.0])
 def test_interpolated_amplitude_does_not_depend_on_its_call(x):
-    # the panels are fixed, so a z gets the same amplitude alone, in a call
-    # that reaches much larger |z| and in a shuffled one; only the rounding
-    # of the Mie coefficients, which each call sizes to its largest |z|, may
-    # differ
+    # the panels are fixed and the Mie coefficients do not depend on how
+    # far each call sizes them, so a z gets the same amplitude bit for bit
+    # alone, in a call that reaches much larger |z| and in a shuffled one
     rng = np.random.default_rng(int(x))
     top = math.log10(min(1e3, 1.2e7 / x**2))
     z = -1.0 - 10.0 ** rng.uniform(-10.0, top, 200)
@@ -213,9 +221,23 @@ def test_interpolated_amplitude_does_not_depend_on_its_call(x):
     in_wide = interpolated_amplitudes(x, 1.0, wide)
     shuffled = interpolated_amplitudes(x, 1.0, wide[perm])
     for k in range(3):
-        np.testing.assert_allclose(in_wide[k][: z.size], batch[k], rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(in_wide[k][: z.size], batch[k])
         np.testing.assert_array_equal(shuffled[k], in_wide[k][perm])
-        np.testing.assert_allclose([a[k][0] for a in alone], batch[k][::37], rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal([a[k][0] for a in alone], batch[k][::37])
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.0176, 1.0, 3.0, 50.0, 300.0, 2000.0, 3e4])
+def test_coefficients_do_not_depend_on_their_sizing(x):
+    # the arrays of a call sized for sin(Theta/2) = 1 are a leading part,
+    # bit for bit, of those of calls sized up to three times as far
+    small = ExactAmplitudes(x, 1.0)
+    n = small._size(np.array([2.0 * x]))
+    for factor in (1.1, 2.0, 3.0):
+        large = ExactAmplitudes(x, 1.0)
+        large._extend(int(factor * n))
+        for got, want in ((small._log_a, large._log_a), (small._ka, large._ka),
+                          (small._kb, large._kb)):
+            np.testing.assert_array_equal(got, want[:n])
 
 
 @pytest.mark.parametrize("x", [0.003, 3.0, 30.0, 300.0])
@@ -262,16 +284,12 @@ def test_shared_loop_node_values_equal_per_xi_sums():
     # each xi as a batch of its own: every node value equals that of a
     # call of its own ExactAmplitudes(xi, R) bit for bit
     z = mie._panel_nodes(max(SHARED_XI.values()))
-    batches = []
-    for xi, panels in SHARED_XI.items():
-        amps = ExactAmplitudes(xi, 1.0)
-        z_xi = z[: panels * mie.PANEL_NODES]
-        batches.append(mie._Batch(amps, z_xi, amps._log_scale(z_xi)))
-    mie._sum_batches(list(batches), z)
-    for (xi, panels), batch in zip(SHARED_XI.items(), batches):
+    sums = mie._sum_batches([(ExactAmplitudes(xi, 1.0), panels * mie.PANEL_NODES)
+                             for xi, panels in SHARED_XI.items()], z)
+    for (xi, panels), got in zip(SHARED_XI.items(), sums):
         want = ExactAmplitudes(xi, 1.0)(z[: panels * mie.PANEL_NODES])
-        np.testing.assert_array_equal(batch.sums[0], want[0])
-        np.testing.assert_array_equal(batch.sums[1], want[1])
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_interpolated_amplitudes_read_the_tables_in_use(monkeypatch):
@@ -395,8 +413,16 @@ def test_fixed_scale_is_the_wkb_exponent():
             assert np.all(np.abs(mant) <= max(1.0, x)), x
 
 
+def size_to(limit):
+    """A stand-in for ExactAmplitudes._size: coefficients, and so the sum, end at limit."""
+    def size(self, log_scale):
+        self._extend(limit)
+        return self._n_coeff
+    return size
+
+
 def test_truncation_error_raised_on_tiny_cap(monkeypatch):
-    monkeypatch.setattr(ExactAmplitudes, "_cap_for", lambda self, z_extreme: 3)
+    monkeypatch.setattr(ExactAmplitudes, "_size", size_to(3))
     amps = ExactAmplitudes(5.0, 1.0)
     with pytest.raises(TruncationError):
         amps(np.array([-30.0]))
@@ -404,8 +430,8 @@ def test_truncation_error_raised_on_tiny_cap(monkeypatch):
 
 def test_truncation_error_judges_only_unconverged_elements(monkeypatch):
     # at x = 5 the elements up to |z| = 3 converge by ell = 25; z = -1e4
-    # needs far more than the cap of 60, and the error reports it alone
-    monkeypatch.setattr(ExactAmplitudes, "_cap_for", lambda self, z_extreme: 60)
+    # needs far more than a limit of 60, and the error reports it alone
+    monkeypatch.setattr(ExactAmplitudes, "_size", size_to(60))
     amps = ExactAmplitudes(5.0, 1.0)
     with pytest.raises(TruncationError) as alone:
         amps(np.array([-1e4]))

@@ -788,6 +788,21 @@ def test_exact_mie_energy_does_not_depend_on_the_chunk_size(monkeypatch):
     assert energy(geometry, KernelKind.EXACT_MIE).energy == want
 
 
+def test_each_table_is_transformed_once_per_energy(monkeypatch):
+    # a table holds its node's Chebyshev coefficients, so the transform runs
+    # once per xi node with a kept pair, not once per sampling chunk
+    calls = []
+    transform = mie._chebyshev_table
+    monkeypatch.setattr(mie, "_chebyshev_table",
+                        lambda values: calls.append(values.shape) or transform(values))
+    monkeypatch.setattr(solver, "CHUNK_SAMPLES", 1 << 8)
+    report = energy(Geometry(R=10.0, L=1.0), KernelKind.EXACT_MIE)
+    assert report.energy == -0.38188202296729484
+    kept = sum(m >= 0 for m in report.diagnostics["m_factored"])
+    assert kept == 35
+    assert len(calls) == kept
+
+
 def test_mie_tables_live_only_inside_energy(monkeypatch):
     # the tables of a solve are gone when it returns or raises, so a second
     # identical solve does the same work; no chunk sums partial waves itself
