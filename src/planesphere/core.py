@@ -25,12 +25,18 @@ so that sin(Theta/2) = sqrt((1 - cos(Theta))/2) >= 1.  At the specular point
 (k_in = k_out, same azimuth) sin(Theta/2) = kappa/xi exactly.  The
 reflection module evaluates these angles vectorized, through the
 cancellation-free P - xi^2 of reflection._p_diff.
+
+Every radial and frequency integral, of the solver and of the oracles, is
+a Gauss-Legendre quadrature mapped from the rule of `gauss_legendre`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class Polarization(Enum):
@@ -60,3 +66,16 @@ class Geometry:
     def aspect_ratio(self) -> float:
         """R/L, the only geometric parameter of the nondimensional problem."""
         return self.R / self.L
+
+
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on (-1, 1).
+
+    Computed once per n, since every solve and every brute-force trace
+    asks for the same few rules; the returned arrays are read-only, so no
+    caller can alter the cached rule.
+    """
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w

@@ -31,9 +31,9 @@ xi node's interpolants, transformed once.  The solver builds the tables
 of the xi nodes a process solves (all of them, or a pool worker's own)
 before its xi loop and puts them in use with `interpolation_tables`;
 every sampling chunk of a xi node then reads its amplitudes off the
-node's one table.
-A call that no table covers (the trace oracles, direct callers) sums its
-own nodes.
+node's one table.  The solver's traces and the brute-force trace oracles
+build one table per call in the same way.  A call that no table covers (a
+direct caller) sums its own nodes.
 
 Adopted Mie coefficients
 ------------------------
@@ -497,15 +497,19 @@ def panel_tables(R: float, samples: dict) -> dict:
 def interpolation_tables(tables: dict):
     """Let interpolated_amplitudes read the tables of `panel_tables` inside the block.
 
-    The tables in use are those of the process, keyed by (xi, R); these
-    are removed on leaving the block, by return or raise.
+    The tables in use are those of the process, keyed by (xi, R).  On
+    leaving the block, by return or raise, each key gets back the table it
+    had before (a block nested in one with the same key leaves the outer
+    table in use), or none.
     """
+    prior = {key: _TABLES[key] for key in tables if key in _TABLES}
     _TABLES.update(tables)
     try:
         yield
     finally:
         for key in tables:
             _TABLES.pop(key, None)
+        _TABLES.update(prior)
 
 
 def interpolated_amplitudes(xi: float, R: float, z: np.ndarray):

@@ -7,8 +7,13 @@ polarization tilt cancels is checked against the full polarization-summed
 weight g_function, a 2x2 transfer-matrix trace over wkb0 sphere elements
 (reflection.sphere_element).  The r-round-trip traces are rebuilt by direct
 quadrature of the scattering formula.  They share the round-trip element
-(reflection.round_trip_element) with the solver, but none of its
-Nystrom/FFT machinery.
+(reflection.round_trip_element) and the Gauss-Legendre rule
+(core.gauss_legendre) with the solver, but none of its Nystrom/FFT
+machinery.  A trace builds one exact-mie amplitude table per call
+(mie.panel_tables) for its whole grid; the r = 2 quadrature evaluates its
+outgoing leg, and forms its integrand, in chunks of in-node rows of about
+CHUNK_SAMPLES samples that all read that table, so every element is bit for
+bit that of one untabled call over the whole grid, and so is the trace.
 
 Derivatives in the Fourier-transformed saddle variables v (defined by
 k_{j,alpha} = sum_l W_{jl} v_{l,alpha}, W_{jl} = r^{-1/2} e^{2 pi i j l / r})
@@ -31,9 +36,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import mie
 from .asymptotics import AppendixD, hessian_eigenvalues
-from .core import Geometry
-from .reflection import KernelKind, round_trip_element, sphere_element
+from .core import Geometry, gauss_legendre
+from .reflection import KernelKind, cos_theta, round_trip_element, sphere_element
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +382,14 @@ def d_pq_classes(r: int, xi: float, kappa_sp: float) -> dict[str, float]:
 # brute-force round-trip traces (no Nystrom blocks, no FFT)
 # ---------------------------------------------------------------------------
 
+# brute-force r = 2: the outgoing leg is evaluated, and the integrand formed,
+# in chunks of whole in-node rows of about this many (out node, azimuth)
+# samples, so that a chunk's temporaries stay in cache
+CHUNK_SAMPLES = 1 << 14
+
+
 def _radial_gl(n: int, xi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on [0, k_max].
+    """Gauss-Legendre nodes on [0, k_max], mapped from the rule of core.gauss_legendre.
 
     The sphere amplitude grows like e^{2 xi R sin(Theta/2)}, which on the
     specular diagonal equals e^{2 rho kappa} and cancels all but e^{-2 kappa}
@@ -387,30 +399,54 @@ def _radial_gl(n: int, xi: float) -> tuple[np.ndarray, np.ndarray]:
     """
     kappa_max = xi + 25.0
     k_max = math.sqrt(kappa_max**2 - xi**2)
-    t, w = np.polynomial.legendre.leggauss(n)
+    t, w = gauss_legendre(n)
     return 0.5 * k_max * (t + 1.0), 0.5 * k_max * w
 
 
+def _amplitude_table(xi, rho, k_in, k_out):
+    """Put in use one exact-mie amplitude table for the elements k_in -> k_out at xi.
+
+    An element's largest sin(Theta/2) over the azimuth lies at dphi = 0, so
+    the cos(Theta) there bound the panels of every element of the grid (see
+    mie.panel_tables); every call in the block reads the table, and its
+    values are those of a call that sums its own panel nodes, bit for bit.
+    """
+    tables = mie.panel_tables(rho, {xi: cos_theta(xi, k_in, k_out, 0.0)})
+    return mie.interpolation_tables(tables)
+
+
+def _row_chunks(n_k: int, n_phi: int) -> list[slice]:
+    """Slices of whole in-node rows of an (n_k, n_k, n_phi) grid, about CHUNK_SAMPLES samples each."""
+    rows = max(1, CHUNK_SAMPLES // (n_k * n_phi))
+    return [slice(lo, lo + rows) for lo in range(0, n_k, rows)]
+
+
 def _pair_elements(xi, k, phi, rho):
-    """Plane-dressed channels (MM, EE, ME, EM) of both legs of a loop on the grid.
+    """Plane-dressed channels (MM, EE, ME, EM) of the outgoing leg of a loop on the grid.
 
     k holds the radial nodes and phi the uniform azimuths phi_l = 2 pi l /
-    n_phi.  Returns two (n_k, n_k, n_phi) tables: at grid point (a, b, l)
-    the leg in=a -> out=b at phi_l and the leg in=b -> out=a at -phi_l,
-    each with translation damping, quadrature measure excluded.  Only the
-    first leg is evaluated, over the whole grid.  The grid maps onto itself
+    n_phi.  Returns one (4, n_k, n_k, n_phi) array: at grid point (a, b,
+    l) the leg in=a -> out=b at phi_l, with translation damping, quadrature
+    measure excluded.  The grid is evaluated in chunks of in-node rows
+    (_row_chunks), all reading one amplitude table built for the whole grid
+    (_amplitude_table), so every value is bit for bit that of one untabled
+    round_trip_element call over the whole grid.  The grid maps onto itself
     under swapping a and b and negating the azimuth (-phi_l is phi_{-l mod
-    n_phi} up to a period), so the second leg is the same table read at (b,
-    a, -l mod n_phi).  No physical symmetry such as reciprocity is assumed:
-    every value read is the element at the arguments it stands for.
+    n_phi} up to a period), so the return leg in=b -> out=a at -phi_l is
+    this table read at (b, a, -l mod n_phi).  No physical symmetry such as
+    reciprocity is assumed: every value read is the element at the
+    arguments it stands for.
     """
-    mm, ee, me, em, log_scale = round_trip_element(
-        xi, k[:, None, None], k[None, :, None], phi, rho, KernelKind.EXACT_MIE
-    )
-    scale = np.exp(log_scale)
-    forward = (mm * scale, ee * scale, me * scale, em * scale)
-    back = -np.arange(phi.size) % phi.size
-    return forward, tuple(c.transpose(1, 0, 2)[:, :, back] for c in forward)
+    out = np.empty((4, k.size, k.size, phi.size))
+    with _amplitude_table(xi, rho, k[:, None], k[None, :]):
+        for rows in _row_chunks(k.size, phi.size):
+            *channels, scale = round_trip_element(
+                xi, k[rows, None, None], k[None, :, None], phi, rho, KernelKind.EXACT_MIE
+            )
+            np.exp(scale, out=scale)
+            for channel, table in zip(channels, out):
+                np.multiply(channel, scale, out=table[rows])
+    return out
 
 
 def brute_force_trace(r: int, xi: float, geometry: Geometry,
@@ -422,21 +458,34 @@ def brute_force_trace(r: int, xi: float, geometry: Geometry,
     polarization products).  Shares only the round-trip element with the
     solver: no symmetrized blocks, no FFT, no azimuthal series.  For r = 2
     the return leg is read off the outgoing leg's table by re-indexing the
-    quadrature grid (see _pair_elements), not by a symmetry of the kernel.
+    quadrature grid (see _pair_elements), not by a symmetry of the kernel,
+    and the integrand is formed chunk by chunk over the in-node rows.
+    Either way one partial-wave sum, the amplitude table's, serves the
+    whole call.
     """
     rho = geometry.aspect_ratio
     k, wk = _radial_gl(n_k, xi)
     if r == 1:
-        mm, ee, _, _, log_scale = round_trip_element(xi, k, k, 0.0, rho, KernelKind.EXACT_MIE)
+        with _amplitude_table(xi, rho, k, k):
+            mm, ee, _, _, log_scale = round_trip_element(xi, k, k, 0.0, rho, KernelKind.EXACT_MIE)
         integrand = (mm + ee) * np.exp(log_scale)
         return float(np.sum(k * wk * integrand)) / (2.0 * math.pi)
     if r == 2:
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         w_phi = 2.0 * math.pi / n_phi
-        (mm_f, ee_f, me_f, em_f), (mm_b, ee_b, me_b, em_b) = _pair_elements(xi, k, phi, rho)
-        pol_sum = mm_f * mm_b + ee_f * ee_b + me_f * em_b + em_f * me_b
-        meas = (k * wk)[:, None, None] * (k * wk)[None, :, None] * w_phi
-        return float(np.sum(meas * pol_sum)) / (2.0 * math.pi) ** 3
+        mm, ee, me, em = _pair_elements(xi, k, phi, rho)
+        kw = k * wk
+        back = -np.arange(n_phi) % n_phi
+        integrand = np.empty((n_k, n_k, n_phi))
+        for rows in _row_chunks(n_k, n_phi):
+            # the return leg of the pairs (a, b) with a in rows, at (b, a, -l)
+            mm_b, ee_b, me_b, em_b = (c[:, rows][..., back].transpose(1, 0, 2)
+                                      for c in (mm, ee, me, em))
+            pol_sum = mm[rows] * mm_b + ee[rows] * ee_b + me[rows] * em_b + em[rows] * me_b
+            meas = kw[rows, None, None] * kw[None, :, None] * w_phi
+            np.multiply(meas, pol_sum, out=integrand[rows])
+        # one sum over the whole grid, in the order of a single-array evaluation
+        return float(np.sum(integrand)) / (2.0 * math.pi) ** 3
     raise ValueError("brute-force trace implemented for r in {1, 2}")
 
 

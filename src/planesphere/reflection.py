@@ -44,8 +44,9 @@ Chebyshev interpolation for every sample on fixed panels of sin(Theta/2)
 (1e-11 relative to the direct sum up to x sin(Theta/2) ~ 2.5e3), so an
 element does not depend on the other samples of its call.  During an
 energy solve the panel tables of each xi node come from the solver's one
-partial-wave ell loop (mie.panel_tables); any other call sums the
-partial waves at its panels' nodes itself.  `cos_theta` gives the
+partial-wave ell loop (mie.panel_tables), and a trace, of the solver or
+of the brute-force oracle, builds one table per call; any other call sums
+the partial waves at its panels' nodes itself.  `cos_theta` gives the
 cos(Theta) that the exact-mie amplitudes of an element are taken at,
 from which the solver sizes those tables.
 """

@@ -108,7 +108,7 @@ import numpy as np
 
 from . import mie
 from .asymptotics import e_pfa
-from .core import Geometry
+from .core import Geometry, gauss_legendre
 from .reflection import KernelKind, cos_theta, round_trip_element
 from .reflection import chi_components  # noqa: F401  (perfbench/tracer.py wraps it here)
 
@@ -137,13 +137,13 @@ CLOSED_FORM_TAIL = 1e-15
 
 @functools.cache
 def half_line_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes t in (0,1) mapped to (0, inf) by x = t/(1-t).
+    """The rule of core.gauss_legendre on t in (0,1), mapped to (0, inf) by x = t/(1-t).
 
     Cached, since the solver asks for the same radial rule at every xi
     node; the returned arrays are read-only, so no caller can alter the
     cached rule.
     """
-    t, w = np.polynomial.legendre.leggauss(n)
+    t, w = gauss_legendre(n)
     t = 0.5 * (t + 1.0)
     jac = 1.0 / (1.0 - t) ** 2
     x, w = t / (1.0 - t), 0.5 * w * jac
@@ -650,10 +650,16 @@ def energy(geometry: Geometry, kind: KernelKind,
 
 def trace_Mr_numeric(r: int, xi: float, geometry: Geometry, kind: KernelKind,
                      config: QuadratureConfig) -> float:
-    """Sum_m (2 - delta_m0) tr(M_m^r) at one frequency, r = 1 or 2 (see "Traces")."""
+    """Sum_m (2 - delta_m0) tr(M_m^r) at one frequency, r = 1 or 2 (see "Traces").
+
+    For exact-mie the node's table is built first, as an energy builds it
+    (see "exact-mie tables").
+    """
     if r not in (1, 2):
         raise ValueError("round-trip count must be 1 or 2")
-    n_live, positions, coef = _live_kernels(xi, geometry, kind, config)
+    tables = _mie_tables([xi], geometry, config) if kind is KernelKind.EXACT_MIE else {}
+    with mie.interpolation_tables(tables):
+        n_live, positions, coef = _live_kernels(xi, geometry, kind, config)
     if n_live == 0:
         return 0.0
     trace, norms = _block_moments(positions, 2 * n_live, coef)

@@ -324,6 +324,26 @@ def test_interpolated_amplitudes_read_the_tables_in_use(monkeypatch):
     assert not mie._TABLES
 
 
+def test_nested_interpolation_tables_restore_the_outer_table(monkeypatch):
+    # a block nested in one with the same (xi, R) key uses its own table
+    # and, on leaving, puts the outer table back rather than none, so the
+    # outer block's calls still read it and sum no panel nodes
+    xi, z = 0.3, -1.0 - 10.0 ** np.linspace(-3.0, 1.0, 7)
+    outer = mie.panel_tables(1.0, {xi: z})
+    inner = mie.panel_tables(1.0, {xi: z[:3]})
+    calls = []
+    direct = ExactAmplitudes.__call__
+    monkeypatch.setattr(ExactAmplitudes, "__call__",
+                        lambda self, z: calls.append(self.xi) or direct(self, z))
+    with mie.interpolation_tables(outer):
+        with mie.interpolation_tables(inner):
+            assert mie._TABLES[(xi, 1.0)] is inner[(xi, 1.0)]
+        assert mie._TABLES[(xi, 1.0)] is outer[(xi, 1.0)]
+        interpolated_amplitudes(xi, 1.0, z)
+        assert calls == []
+    assert not mie._TABLES
+
+
 def test_amplitudes_wkb_limit():
     """Exact partial-wave sums approach the WKB form as x -> infinity.
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from planesphere import reflection
+from planesphere import mie, oracles, reflection
 from planesphere.asymptotics import appendix_D
 from planesphere.core import Geometry
 from planesphere.oracles import (
@@ -204,19 +204,54 @@ def test_brute_force_trace_r1_frozen():
     )
 
 
+def test_brute_force_trace_r2_frozen():
+    # the criterion-5 r = 2 quadrature, frozen at the value of its
+    # evaluation as one whole-grid array
+    geometry = Geometry(R=5.0, L=1.0)
+    assert brute_force_trace(2, 1.0, geometry, n_k=64, n_phi=192) == pytest.approx(
+        0.008048406945296332, rel=1e-12
+    )
+
+
 def test_brute_force_trace_r2_makes_one_amplitude_call(monkeypatch):
-    # only the outgoing leg is evaluated, once over the whole grid; the
-    # return leg is read off the same table
-    calls = []
+    # only the outgoing leg is evaluated, every element of the grid exactly
+    # once over its chunks; the return leg is read off the same table, and
+    # one partial-wave sum, the table's, serves every chunk
+    n_k, n_phi = 8, 16
+    monkeypatch.setattr(oracles, "CHUNK_SAMPLES", 3 * n_k * n_phi)   # chunks of 3, 3, 2 rows
+    calls, sums = [], []
     original = reflection._amplitudes
+    sum_batches = mie._sum_batches
 
     def counted(xi, p_diff, rho, kind):
         calls.append((np.size(p_diff), kind))
         return original(xi, p_diff, rho, kind)
 
     monkeypatch.setattr(reflection, "_amplitudes", counted)
-    brute_force_trace(2, 1.0, Geometry(R=5.0, L=1.0), n_k=8, n_phi=16)
-    assert calls == [(8 * 8 * 16, KernelKind.EXACT_MIE)]
+    monkeypatch.setattr(mie, "_sum_batches", lambda *a: sums.append(a) or sum_batches(*a))
+    brute_force_trace(2, 1.0, Geometry(R=5.0, L=1.0), n_k=n_k, n_phi=n_phi)
+    assert [size for size, _ in calls] == [3 * n_k * n_phi, 3 * n_k * n_phi, 2 * n_k * n_phi]
+    assert sum(size for size, _ in calls) == n_k * n_k * n_phi
+    assert all(kind is KernelKind.EXACT_MIE for _, kind in calls)
+    assert len(sums) == 1
+
+
+def test_pair_elements_chunks_equal_one_whole_grid_call(monkeypatch):
+    # in-node rows in chunks over one table, against one untabled
+    # round_trip_element call over the whole grid, bit for bit
+    xi, rho, n_k, n_phi = 1.0, 5.0, 10, 16
+    monkeypatch.setattr(oracles, "CHUNK_SAMPLES", 4 * n_k * n_phi)   # chunks of 4, 4, 2 rows
+    assert len(oracles._row_chunks(n_k, n_phi)) == 3
+    k, _ = _radial_gl(n_k, xi)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    forward = _pair_elements(xi, k, phi, rho)
+    *channels, log_scale = round_trip_element(
+        xi, k[:, None, None], k[None, :, None], phi, rho, KernelKind.EXACT_MIE
+    )
+    scale = np.exp(log_scale)
+    assert forward.shape == (4, n_k, n_k, n_phi)
+    for got, want in zip(forward, channels):
+        np.testing.assert_array_equal(got, want * scale)
 
 
 def test_pair_elements_backward_leg_is_the_direct_element():
@@ -226,7 +261,8 @@ def test_pair_elements_backward_leg_is_the_direct_element():
     xi, rho, n_phi = 1.0, 5.0, 16
     k, _ = _radial_gl(8, xi)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    _, backward = _pair_elements(xi, k, phi, rho)
+    forward = _pair_elements(xi, k, phi, rho)
+    backward = forward.transpose(0, 2, 1, 3)[..., -np.arange(n_phi) % n_phi]
     *channels, log_scale = round_trip_element(
         xi, k[None, :, None], k[:, None, None], -phi, rho, KernelKind.EXACT_MIE
     )

@@ -96,6 +96,33 @@ def test_cached_radial_rule_is_read_only():
             values[0] = 1.0
 
 
+def test_gauss_legendre_rule_is_computed_once_and_shared(monkeypatch):
+    # one leggauss per n, however many callers ask; the cached arrays are
+    # read-only, and the solver's half-line rule is the direct formula on
+    # them, bit for bit
+    from planesphere import core, oracles
+
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    core.gauss_legendre.cache_clear()
+    half_line_nodes_weights.cache_clear()
+    x, w = half_line_nodes_weights(12)
+    oracles._radial_gl(12, 1.0)
+    oracles._radial_gl(12, 2.0)
+    t, wt = core.gauss_legendre(12)
+    core.gauss_legendre(9)
+    assert calls == [12, 9]
+    for values in (t, wt):
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    t_ref, w_ref = leggauss(12)
+    t_ref = 0.5 * (t_ref + 1.0)
+    np.testing.assert_array_equal(x, t_ref / (1.0 - t_ref))
+    np.testing.assert_array_equal(w, 0.5 * w_ref * (1.0 / (1.0 - t_ref) ** 2))
+
+
 # ---------------------------------------------------------------------------
 # block structure
 # ---------------------------------------------------------------------------
@@ -418,6 +445,22 @@ def test_traces_vanish_where_no_pair_is_kept():
     assert _fourier_kernels(xi, geometry, KernelKind.WKB1, config)[0].size == 0
     for r in (1, 2):
         assert trace_Mr_numeric(r, xi, geometry, KernelKind.WKB1, config) == 0.0
+
+
+def test_exact_mie_traces_read_one_table(monkeypatch):
+    # an exact-mie trace builds its node's table and sums no panel nodes
+    # of its own; its value is that of the untabled chunks, bit for bit
+    geometry, config, xi, _ = _criterion5_setup()
+    kind = KernelKind.EXACT_MIE
+    calls = []
+    direct = ExactAmplitudes.__call__
+    monkeypatch.setattr(ExactAmplitudes, "__call__",
+                        lambda self, z: calls.append(z.size) or direct(self, z))
+    tabled = [trace_Mr_numeric(r, xi, geometry, kind, config) for r in (1, 2)]
+    assert calls == []
+    monkeypatch.setattr(solver, "_mie_tables", lambda *args: {})
+    assert [trace_Mr_numeric(r, xi, geometry, kind, config) for r in (1, 2)] == tabled
+    assert calls
 
 
 @pytest.mark.parametrize("r", [0, 3])
